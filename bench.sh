@@ -7,8 +7,9 @@
 # per-strategy overhead set (BenchmarkControlPlaneStrategy/<name>), and
 # the availability-kernel set (BenchmarkMonteCarloN10000/N50000,
 # BenchmarkSurvivesFailed, BenchmarkBuildTimeline,
-# BenchmarkProfileWithJitter) whose numbers back the EXPERIMENTS.md
-# overhead and kernel tables.
+# BenchmarkProfileWithJitter) and the control-plane scaling set
+# (BenchmarkLeaseKeepAlive/N, BenchmarkControlPlaneScale/N) whose
+# numbers back the EXPERIMENTS.md overhead, kernel and scaling tables.
 #
 # Usage:
 #   ./bench.sh                # full suite, -count=3

@@ -15,6 +15,14 @@ go test -run='^$' -bench=. -benchtime=1x -benchmem ./...
 go test -run='^TestSteadyStateFabricEventsDoNotAllocate$' -count=1 ./internal/netsim
 go test -run='^$' -bench='^BenchmarkFabricRing' -benchtime=1x -benchmem ./internal/netsim
 
+# Control-plane perf gates (outside the race detector): a lease renewal
+# with nothing due must allocate nothing at 1024 leases, and a steady
+# heartbeat round (ticker fire, renewal, sweep re-aim) must allocate
+# nothing either.
+go test -run='^TestKeepAliveAllocsZero$' -count=1 ./internal/kvstore
+go test -run='^TestTickerFireAllocsZero$' -count=1 ./internal/simclock
+go test -run='^TestHeartbeatTickAllocsZero$' -count=1 ./internal/agent
+
 # Availability-kernel perf gates (outside the race detector): the
 # steady-state Monte-Carlo shard must allocate exactly 0 bytes per trial
 # and the kernel probe itself must stay allocation-free, the 10k-machine

@@ -305,20 +305,29 @@ func (s *System) Start() {
 }
 
 // scheduleSweep keeps lease expiry timely: the store expires lazily, so
-// the system arms an event at the next lease deadline.
+// the system keeps one persistent event aimed at the next lease deadline.
+// Rearm sequences it exactly as a fresh AtPriority would, so re-aiming
+// on every heartbeat costs no allocation and leaves no canceled events
+// behind in the queue.
 func (s *System) scheduleSweep() {
-	s.sweepEv.Cancel()
 	next := s.store.NextExpiry()
 	if next == simclock.Forever {
+		s.sweepEv.Cancel()
 		return
 	}
 	if next <= s.engine.Now() {
 		next = s.engine.Now()
 	}
-	s.sweepEv = s.engine.AtPriority(next, 5, func() {
-		s.store.Sweep()
-		s.scheduleSweep()
-	})
+	if s.sweepEv == (simclock.EventID{}) {
+		s.sweepEv = s.engine.AtPriority(next, 5, s.sweep)
+		return
+	}
+	s.engine.Rearm(s.sweepEv, next)
+}
+
+func (s *System) sweep() {
+	s.store.Sweep()
+	s.scheduleSweep()
 }
 
 func (s *System) startWorker(rank, incarnation int) {

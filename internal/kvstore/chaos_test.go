@@ -69,6 +69,10 @@ func TestOutageFreezesLeases(t *testing.T) {
 
 	clk.t = 7 // 3s of TTL left
 	s.SetAvailable(false)
+	clk.t = 50 // mid-outage, already past the unfrozen expiry
+	if rem, ok := s.LeaseRemaining(lid); !ok || rem != 3 {
+		t.Fatalf("lease remaining mid-outage = %v (ok=%v), want the frozen 3", rem, ok)
+	}
 	clk.t = 100 // outage lasts 93s, far past the TTL
 	s.SetAvailable(true)
 

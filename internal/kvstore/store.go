@@ -10,8 +10,10 @@
 package kvstore
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -78,6 +80,17 @@ type lease struct {
 	ttl     simclock.Duration
 	expires simclock.Time
 	keys    map[string]bool
+	idx     int // position in Store.byExpiry
+}
+
+// StoreStats is a snapshot of the store's self-counters.
+type StoreStats struct {
+	// ExpirySweeps counts sweeps that expired at least one lease.
+	ExpirySweeps uint64
+	// LeasesExpired counts leases removed by expiry or revocation.
+	LeasesExpired uint64
+	// WatchDeliveries counts watch callback invocations.
+	WatchDeliveries uint64
 }
 
 // Store is a revisioned, lease-aware key-value store.
@@ -88,6 +101,11 @@ type Store struct {
 	data      map[string]Entry
 	leases    map[LeaseID]*lease
 	nextLease LeaseID
+	// byExpiry is an indexed min-heap of the live leases on expires, so a
+	// sweep with nothing due and NextExpiry are O(1) and a renewal is
+	// O(log N).
+	byExpiry  []*lease
+	stats     StoreStats
 	watchers  []*watcher
 	nextWatch WatchID
 
@@ -140,8 +158,11 @@ func (s *Store) SetAvailable(up bool) {
 	}
 	pause := s.now().Sub(s.downSince)
 	s.down = false
-	for _, l := range s.leases {
+	for _, l := range s.byExpiry {
 		l.expires = l.expires.Add(pause)
+	}
+	for i := len(s.byExpiry)/2 - 1; i >= 0; i-- {
+		s.siftDown(i)
 	}
 	s.sweepLocked()
 }
@@ -181,18 +202,21 @@ func (s *Store) jitterLocked() simclock.Duration {
 // sweepLocked expires leases due at the current instant, deleting their
 // keys and emitting delete events. Callers hold s.mu.
 func (s *Store) sweepLocked() {
-	if s.down {
+	if s.down || len(s.byExpiry) == 0 {
 		return
 	}
 	t := s.now()
-	var expired []*lease
-	for _, l := range s.leases {
-		if l.expires <= t {
-			expired = append(expired, l)
-		}
+	if s.byExpiry[0].expires > t {
+		return
 	}
-	// Deterministic order for event delivery.
-	sort.Slice(expired, func(i, j int) bool { return expired[i].id < expired[j].id })
+	var expired []*lease
+	for len(s.byExpiry) > 0 && s.byExpiry[0].expires <= t {
+		expired = append(expired, s.popLease())
+	}
+	// Deterministic order for event delivery: lease id, not heap order.
+	slices.SortFunc(expired, func(a, b *lease) int { return cmp.Compare(a.id, b.id) })
+	s.stats.ExpirySweeps++
+	s.stats.LeasesExpired += uint64(len(expired))
 	for _, l := range expired {
 		delete(s.leases, l.id)
 		keys := make([]string, 0, len(l.keys))
@@ -208,6 +232,77 @@ func (s *Store) sweepLocked() {
 			}
 		}
 	}
+}
+
+// pushLease inserts l into the expiry heap.
+func (s *Store) pushLease(l *lease) {
+	l.idx = len(s.byExpiry)
+	s.byExpiry = append(s.byExpiry, l)
+	s.siftUp(l.idx)
+}
+
+// popLease removes and returns the lease expiring first.
+func (s *Store) popLease() *lease {
+	h := s.byExpiry
+	n := len(h) - 1
+	l := h[0]
+	h[0] = h[n]
+	h[0].idx = 0
+	h[n] = nil
+	s.byExpiry = h[:n]
+	if n > 0 {
+		s.siftDown(0)
+	}
+	l.idx = -1
+	return l
+}
+
+// fixLease restores heap order after l.expires changed.
+func (s *Store) fixLease(l *lease) {
+	i := l.idx
+	s.siftUp(i)
+	if l.idx == i {
+		s.siftDown(i)
+	}
+}
+
+func (s *Store) siftUp(i int) {
+	h := s.byExpiry
+	l := h[i]
+	for i > 0 {
+		p := (i - 1) / 2
+		if l.expires >= h[p].expires {
+			break
+		}
+		h[i] = h[p]
+		h[i].idx = i
+		i = p
+	}
+	h[i] = l
+	l.idx = i
+}
+
+func (s *Store) siftDown(i int) {
+	h := s.byExpiry
+	n := len(h)
+	l := h[i]
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && h[r].expires < h[c].expires {
+			c = r
+		}
+		if h[c].expires >= l.expires {
+			break
+		}
+		h[i] = h[c]
+		h[i].idx = i
+		i = c
+	}
+	h[i] = l
+	l.idx = i
 }
 
 func (s *Store) notifyLocked(ev Event) {
@@ -226,8 +321,11 @@ func (s *Store) flush() {
 	}
 	s.delivering = true
 	s.deliverMu.Unlock()
+	var delivered uint64
 	for {
 		s.mu.Lock()
+		s.stats.WatchDeliveries += delivered
+		delivered = 0
 		if len(s.pending) == 0 {
 			s.mu.Unlock()
 			break
@@ -239,6 +337,7 @@ func (s *Store) flush() {
 		for _, w := range ws {
 			if strings.HasPrefix(ev.Entry.Key, w.prefix) {
 				w.fn(ev)
+				delivered++
 			}
 		}
 	}
@@ -405,7 +504,9 @@ func (s *Store) Grant(ttl simclock.Duration) (LeaseID, error) {
 	s.sweepLocked()
 	s.nextLease++
 	id := s.nextLease
-	s.leases[id] = &lease{id: id, ttl: ttl, expires: s.now().Add(ttl + s.jitterLocked()), keys: make(map[string]bool)}
+	l := &lease{id: id, ttl: ttl, expires: s.now().Add(ttl + s.jitterLocked()), keys: make(map[string]bool)}
+	s.leases[id] = l
+	s.pushLease(l)
 	return id, nil
 }
 
@@ -425,6 +526,7 @@ func (s *Store) KeepAlive(id LeaseID) error {
 		return fmt.Errorf("kvstore: lease %d not found (expired?)", id)
 	}
 	l.expires = s.now().Add(l.ttl + s.jitterLocked())
+	s.fixLease(l)
 	return nil
 }
 
@@ -441,11 +543,13 @@ func (s *Store) Revoke(id LeaseID) {
 		return
 	}
 	l.expires = s.now() // expire now
+	s.fixLease(l)
 	s.sweepLocked()
 }
 
 // LeaseRemaining returns the time until a lease expires, and whether the
-// lease exists.
+// lease exists. While the store is down lease clocks are frozen, so the
+// remaining TTL is the one the lease had when the outage began.
 func (s *Store) LeaseRemaining(id LeaseID) (simclock.Duration, bool) {
 	defer s.flush()
 	s.mu.Lock()
@@ -455,6 +559,9 @@ func (s *Store) LeaseRemaining(id LeaseID) (simclock.Duration, bool) {
 	if l == nil {
 		return 0, false
 	}
+	if s.down {
+		return l.expires.Sub(s.downSince), true
+	}
 	return l.expires.Sub(s.now()), true
 }
 
@@ -463,16 +570,17 @@ func (s *Store) LeaseRemaining(id LeaseID) (simclock.Duration, bool) {
 func (s *Store) NextExpiry() simclock.Time {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.down {
+	if s.down || len(s.byExpiry) == 0 {
 		return simclock.Forever
 	}
-	earliest := simclock.Forever
-	for _, l := range s.leases {
-		if l.expires < earliest {
-			earliest = l.expires
-		}
-	}
-	return earliest
+	return s.byExpiry[0].expires
+}
+
+// Stats snapshots the store's self-counters.
+func (s *Store) Stats() StoreStats {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.stats
 }
 
 // Sweep expires due leases eagerly (delivering watch events); drivers
@@ -485,8 +593,10 @@ func (s *Store) Sweep() {
 }
 
 // Watch registers fn for events on keys with the given prefix. The
-// callback runs synchronously with the mutating operation; it must not
-// call back into the store from the same goroutine path that mutates.
+// callback runs synchronously on the goroutine of the mutating operation,
+// after the store's lock is released, so it may call back into the store;
+// events those calls produce are delivered after the current one, in
+// revision order.
 func (s *Store) Watch(prefix string, fn func(Event)) WatchID {
 	if fn == nil {
 		panic("kvstore: nil watch callback")

@@ -9,7 +9,6 @@
 package simclock
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 )
@@ -92,46 +91,114 @@ func (id EventID) Pending() bool {
 	return id.ev != nil && !id.ev.canceled && id.ev.index >= 0
 }
 
-type eventHeap []*event
+// eventLess orders events by (time, priority, sequence). Sequence
+// numbers are unique, so the order is total and any correct heap pops
+// events in exactly the same order.
+func eventLess(a, b *event) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	if a.priority != b.priority {
+		return a.priority < b.priority
+	}
+	return a.seq < b.seq
+}
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// push inserts ev into the event heap.
+func (e *Engine) push(ev *event) {
+	ev.index = len(e.queue)
+	e.queue = append(e.queue, ev)
+	e.up(ev.index)
+	if len(e.queue) > e.stats.PeakQueue {
+		e.stats.PeakQueue = len(e.queue)
 	}
-	if h[i].priority != h[j].priority {
-		return h[i].priority < h[j].priority
+}
+
+// pop removes and returns the heap head.
+func (e *Engine) pop() *event {
+	h := e.queue
+	n := len(h) - 1
+	ev := h[0]
+	h[0] = h[n]
+	h[0].index = 0
+	h[n] = nil
+	e.queue = h[:n]
+	if n > 0 {
+		e.down(0)
 	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	ev := x.(*event)
-	ev.index = len(*h)
-	*h = append(*h, ev)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
 	ev.index = -1
-	*h = old[:n-1]
 	return ev
+}
+
+// fix restores heap order after the event at index i changed its key.
+func (e *Engine) fix(i int) {
+	e.up(i)
+	if e.queue[i].index == i {
+		e.down(i)
+	}
+}
+
+func (e *Engine) up(i int) {
+	h := e.queue
+	ev := h[i]
+	for i > 0 {
+		p := (i - 1) / 2
+		if !eventLess(ev, h[p]) {
+			break
+		}
+		h[i] = h[p]
+		h[i].index = i
+		i = p
+	}
+	h[i] = ev
+	ev.index = i
+}
+
+func (e *Engine) down(i int) {
+	h := e.queue
+	n := len(h)
+	ev := h[i]
+	for {
+		l := 2*i + 1
+		if l >= n {
+			break
+		}
+		c := l
+		if r := l + 1; r < n && eventLess(h[r], h[l]) {
+			c = r
+		}
+		if !eventLess(h[c], ev) {
+			break
+		}
+		h[i] = h[c]
+		h[i].index = i
+		i = c
+	}
+	h[i] = ev
+	ev.index = i
+}
+
+// EngineStats is a snapshot of the engine's self-counters.
+type EngineStats struct {
+	// Fired counts events whose callbacks ran.
+	Fired uint64
+	// PeakQueue is the high-water mark of the event queue, canceled
+	// events still awaiting discard included.
+	PeakQueue int
+	// CanceledDiscarded counts canceled events dropped from the queue
+	// head without firing.
+	CanceledDiscarded uint64
 }
 
 // Engine is a discrete-event simulator. The zero value is not usable;
 // construct one with NewEngine.
 type Engine struct {
 	now     Time
-	queue   eventHeap
+	queue   []*event // min-heap on (at, priority, seq); event.index is the slot
 	seq     uint64
 	running bool
 	stopped bool
+	stats   EngineStats
 }
 
 // NewEngine returns an engine whose clock starts at time zero.
@@ -141,6 +208,9 @@ func NewEngine() *Engine {
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
+
+// Stats snapshots the engine's self-counters.
+func (e *Engine) Stats() EngineStats { return e.stats }
 
 // Len returns the number of pending events (including canceled ones that
 // have not yet been discarded).
@@ -172,7 +242,7 @@ func (e *Engine) at(at Time, priority int, fn func()) EventID {
 	}
 	ev := &event{at: at, priority: priority, seq: e.seq, fn: fn}
 	e.seq++
-	heap.Push(&e.queue, ev)
+	e.push(ev)
 	return EventID{ev}
 }
 
@@ -183,9 +253,11 @@ func (e *Engine) at(at Time, priority int, fn func()) EventID {
 // same-priority events it fires after those already queued. Like At,
 // rearming into the past panics.
 //
-// Rearm exists for long-lived periodic events (the netsim fabric's
-// completion and recompute events) that would otherwise allocate a fresh
-// event on every reschedule.
+// Rearm exists for long-lived periodic events (tickers, the agent's
+// lease sweep, the netsim fabric's completion and recompute events) that
+// would otherwise allocate a fresh event on every reschedule. Because it
+// draws its sequence number exactly as At does, replacing Cancel + At
+// with Rearm leaves the (time, priority, seq) firing order unchanged.
 func (e *Engine) Rearm(id EventID, at Time) {
 	ev := id.ev
 	if ev == nil {
@@ -199,9 +271,9 @@ func (e *Engine) Rearm(id EventID, at Time) {
 	ev.seq = e.seq
 	e.seq++
 	if ev.index >= 0 {
-		heap.Fix(&e.queue, ev.index)
+		e.fix(ev.index)
 	} else {
-		heap.Push(&e.queue, ev)
+		e.push(ev)
 	}
 }
 
@@ -224,14 +296,16 @@ func (e *Engine) Run(until Time) int {
 	for len(e.queue) > 0 && !e.stopped {
 		ev := e.queue[0]
 		if ev.canceled {
-			heap.Pop(&e.queue)
+			e.pop()
+			e.stats.CanceledDiscarded++
 			continue
 		}
 		if ev.at > until {
 			break
 		}
-		heap.Pop(&e.queue)
+		e.pop()
 		e.now = ev.at
+		e.stats.Fired++
 		ev.fn()
 		fired++
 	}
@@ -250,11 +324,13 @@ func (e *Engine) RunAll() int { return e.Run(Forever) }
 // event fired.
 func (e *Engine) Step() bool {
 	for len(e.queue) > 0 {
-		ev := heap.Pop(&e.queue).(*event)
+		ev := e.pop()
 		if ev.canceled {
+			e.stats.CanceledDiscarded++
 			continue
 		}
 		e.now = ev.at
+		e.stats.Fired++
 		ev.fn()
 		return true
 	}
@@ -266,7 +342,8 @@ func (e *Engine) Step() bool {
 func (e *Engine) PeekTime() Time {
 	for len(e.queue) > 0 {
 		if e.queue[0].canceled {
-			heap.Pop(&e.queue)
+			e.pop()
+			e.stats.CanceledDiscarded++
 			continue
 		}
 		return e.queue[0].at

@@ -2,6 +2,8 @@ package simclock
 
 // Ticker fires a callback at a fixed period until stopped, mirroring the
 // heartbeat loops that GEMINI agents run against the key-value store.
+// One event is allocated at construction and re-aimed with Engine.Rearm
+// after every firing, so a running ticker allocates nothing.
 type Ticker struct {
 	engine *Engine
 	period Duration
@@ -17,20 +19,18 @@ func NewTicker(e *Engine, period Duration, fn func(Time)) *Ticker {
 		panic("simclock: ticker period must be positive")
 	}
 	t := &Ticker{engine: e, period: period, fn: fn}
-	t.schedule()
+	t.next = e.After(period, t.fire)
 	return t
 }
 
-func (t *Ticker) schedule() {
-	t.next = t.engine.After(t.period, func() {
-		if t.stop {
-			return
-		}
-		t.fn(t.engine.Now())
-		if !t.stop {
-			t.schedule()
-		}
-	})
+func (t *Ticker) fire() {
+	if t.stop {
+		return
+	}
+	t.fn(t.engine.Now())
+	if !t.stop {
+		t.engine.Rearm(t.next, t.engine.Now().Add(t.period))
+	}
 }
 
 // Stop cancels future firings. It is safe to call from within the callback.
