@@ -16,12 +16,31 @@ go test -run='^TestSteadyStateFabricEventsDoNotAllocate$' -count=1 ./internal/ne
 go test -run='^$' -bench='^BenchmarkFabricRing' -benchtime=1x -benchmem ./internal/netsim
 
 # Control-plane perf gates (outside the race detector): a lease renewal
-# with nothing due must allocate nothing at 1024 leases, and a steady
-# heartbeat round (ticker fire, renewal, sweep re-aim) must allocate
-# nothing either.
+# with nothing due must allocate nothing at 1024 leases, with or without
+# a watcher on the leased keys; a steady heartbeat round (ticker fire,
+# renewal, sweep re-aim) must allocate nothing either; and neither may
+# the root's health poll over 256 healthy ranks.
 go test -run='^TestKeepAliveAllocsZero$' -count=1 ./internal/kvstore
 go test -run='^TestTickerFireAllocsZero$' -count=1 ./internal/simclock
-go test -run='^TestHeartbeatTickAllocsZero$' -count=1 ./internal/agent
+go test -run='^TestHeartbeatTickAllocsZero$|^TestRootCheckAllocsZero$' -count=1 ./internal/agent
+
+# Control-plane concurrency gate (under the race detector, repeated):
+# concurrent Watch/Unwatch/Put/KeepAlive, as the TCP-served store sees
+# them, pin the copy-on-write watcher list and the single-lock flush.
+go test -race -run='^TestConcurrentWatchersAndHeartbeats$' -count=5 ./internal/kvstore
+
+# Control-plane scaling gate: the same recovery run at 1024 machines
+# must cost under 6x its cost at 256 (heartbeat events grow 4x), so the
+# control plane stays near-linear in N. Each size's best of three runs
+# is compared, which keeps a noisy neighbour from failing the gate.
+go test -run='^$' -bench='^BenchmarkControlPlaneScale$/^(256|1024)$' -benchtime=5x -count=3 ./internal/agent | awk '
+	/^BenchmarkControlPlaneScale\/256(-[0-9]+)?[ \t]/ { if (a == "" || $3 < a) a = $3 }
+	/^BenchmarkControlPlaneScale\/1024(-[0-9]+)?[ \t]/ { if (b == "" || $3 < b) b = $3 }
+	END {
+		if (a == "" || b == "") { print "ControlPlaneScale: missing the 256 or 1024 result" > "/dev/stderr"; exit 1 }
+		printf "ControlPlaneScale 1024/256 ns/op ratio: %.2f\n", b / a
+		if (b / a >= 6) { print "ControlPlaneScale: 1024/256 ratio reached 6" > "/dev/stderr"; exit 1 }
+	}'
 
 # Availability-kernel perf gates (outside the race detector): the
 # steady-state Monte-Carlo shard must allocate exactly 0 bytes per trial

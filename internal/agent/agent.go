@@ -10,7 +10,6 @@ package agent
 import (
 	"fmt"
 	"strconv"
-	"strings"
 
 	"gemini/internal/ckpt"
 	"gemini/internal/cloud"
@@ -122,6 +121,12 @@ type System struct {
 	rootRank int
 	rootTick *simclock.Ticker
 
+	// live is the root's view of the heartbeat keys, fed by a watch on
+	// hbPrefix: live[rank] holds while hb/<rank> exists. liveCount counts
+	// the set ranks, so a healthy health poll is O(1).
+	live      []bool
+	liveCount int
+
 	iteration        int64
 	remoteEveryIters int64
 	// lastRemoteCommitted is the newest iteration actually written to the
@@ -187,6 +192,7 @@ func NewSystem(engine *simclock.Engine, cl *cluster.Cluster, ck *ckpt.Engine,
 		opts:        opts,
 		log:         log,
 		rootRank:    -1,
+		live:        make([]bool, cl.Size()),
 		partitioned: make(map[int]bool),
 		stragglers:  make(map[int]float64),
 	}
@@ -195,6 +201,7 @@ func NewSystem(engine *simclock.Engine, cl *cluster.Cluster, ck *ckpt.Engine,
 		return nil, err
 	}
 	s.election = el
+	s.store.Watch(hbPrefix, s.trackHeartbeat)
 	s.strategy = strategy.NewGemini()
 	s.bindStrategy()
 	return s, nil
@@ -280,8 +287,9 @@ func (s *System) SetDataPlane(mgr *statemgr.Manager) {
 // Iteration returns the last completed training iteration.
 func (s *System) Iteration() int64 { return s.iteration }
 
-// Training reports whether the training loop is running.
-func (s *System) Training() bool { return s.training }
+// Training reports whether the training loop is running: false before
+// Start and from a failure's detection until training resumes.
+func (s *System) Training() bool { return s.training && !s.recovering }
 
 // RootRank returns the current root machine's rank, or -1.
 func (s *System) RootRank() int { return s.rootRank }
@@ -372,6 +380,25 @@ func (s *System) refreshLease(w *worker) bool {
 
 func hbKey(rank int) string { return hbPrefix + fmt.Sprintf("%04d", rank) }
 
+// trackHeartbeat keeps the live view in step with the heartbeat keys: a
+// put marks the rank live, a delete (lease expiry) clears it.
+func (s *System) trackHeartbeat(ev kvstore.Event) {
+	rank, err := strconv.Atoi(ev.Entry.Key[len(hbPrefix):])
+	if err != nil || rank < 0 || rank >= len(s.live) {
+		return
+	}
+	up := ev.Type == kvstore.EventPut
+	if s.live[rank] == up {
+		return
+	}
+	s.live[rank] = up
+	if up {
+		s.liveCount++
+	} else {
+		s.liveCount--
+	}
+}
+
 // promoteRoot elects a root among alive, reachable workers (lowest such
 // rank campaigns first and wins) and starts its health-check loop.
 func (s *System) promoteRoot() {
@@ -440,8 +467,9 @@ func (s *System) InjectFailure(rank int, kind cluster.MachineState) {
 }
 
 // rootCheck is the root agent's periodic health poll: every expected
-// heartbeat must be present; a missing one starts recovery. The root also
-// verifies its own machine is alive — a dead root's ticker dies with it.
+// heartbeat must be present in the live view; a missing one starts
+// recovery. The root also verifies its own machine is alive — a dead
+// root's ticker dies with it.
 func (s *System) rootCheck() {
 	if s.rootRank < 0 || s.recovering {
 		return
@@ -460,29 +488,23 @@ func (s *System) rootCheck() {
 		// and another machine takes over.
 		return
 	}
-	entries := s.store.Range(hbPrefix)
-	seen := make(map[int]bool, len(entries))
-	for _, e := range entries {
-		rank, err := strconv.Atoi(strings.TrimPrefix(e.Key, hbPrefix))
-		if err != nil {
-			continue
+	// The store expires leases lazily; sweeping delivers the delete
+	// events of every lease due by now to the live view.
+	s.store.Sweep()
+	if s.liveCount != len(s.workers) {
+		var failed []int
+		for rank := range s.workers {
+			if !s.live[rank] {
+				failed = append(failed, rank)
+			}
 		}
-		seen[rank] = true
-	}
-	var failed []int
-	for rank := range s.workers {
-		if !seen[rank] {
-			failed = append(failed, rank)
-		}
-	}
-	if len(failed) > 0 {
 		s.beginRecovery(failed)
-	} else {
-		// Heartbeats are healthy; check for a vanished root key (lease
-		// hiccup) and re-campaign.
-		if _, ok := s.election.Leader(); !ok {
-			s.promoteRoot()
-		}
+		return
+	}
+	// Heartbeats are healthy; check for a vanished root key (lease
+	// hiccup) and re-campaign.
+	if _, ok := s.election.Leader(); !ok {
+		s.promoteRoot()
 	}
 }
 

@@ -37,3 +37,24 @@ func TestHeartbeatTickAllocsZero(t *testing.T) {
 		t.Fatalf("%d leases expired under steady heartbeats", st.LeasesExpired)
 	}
 }
+
+// TestRootCheckAllocsZero pins the root's health poll: with every
+// heartbeat live, a poll at 256 ranks is a sweep with nothing due, a
+// count comparison and a leader read, and allocates nothing.
+func TestRootCheckAllocsZero(t *testing.T) {
+	const n = 256
+	f := newFixture(t, n, 2, cloud.DefaultConfig())
+	s := f.sys
+	s.Start()
+	f.engine.Run(f.engine.Now().Add(2 * s.opts.HeartbeatInterval))
+	if s.liveCount != n {
+		t.Fatalf("%d of %d ranks live before polling", s.liveCount, n)
+	}
+	allocs := testing.AllocsPerRun(100, s.rootCheck)
+	if allocs != 0 {
+		t.Fatalf("a healthy health poll over %d ranks allocated %v objects, want 0", n, allocs)
+	}
+	if s.recovering || s.Recoveries() != 0 {
+		t.Fatal("a healthy health poll started a recovery")
+	}
+}

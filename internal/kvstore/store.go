@@ -106,7 +106,7 @@ type Store struct {
 	// O(log N).
 	byExpiry  []*lease
 	stats     StoreStats
-	watchers  []*watcher
+	watchers  []*watcher // copy-on-write; see Unwatch
 	nextWatch WatchID
 
 	// Watch events are queued under the mutex and delivered after it is
@@ -145,9 +145,8 @@ func New(now func() simclock.Time) *Store {
 // duration, so a lease that had 3s of TTL left when the outage began
 // still has 3s left when it ends.
 func (s *Store) SetAvailable(up bool) {
-	defer s.flush()
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	defer s.unlockFlush()
 	if up == !s.down {
 		return
 	}
@@ -309,6 +308,17 @@ func (s *Store) notifyLocked(ev Event) {
 	s.pending = append(s.pending, ev)
 }
 
+// unlockFlush releases s.mu, then delivers the events the critical section
+// queued; mutators and sweeping readers defer it. Every queuer flushes its
+// own events, so with nothing queued it is a single unlock.
+func (s *Store) unlockFlush() {
+	queued := len(s.pending) > 0
+	s.mu.Unlock()
+	if queued {
+		s.flush()
+	}
+}
+
 // flush delivers queued events in revision order. It must be called
 // without s.mu held. A single flusher drains everything, including events
 // produced by the callbacks themselves, preserving order; deliverMu
@@ -332,7 +342,7 @@ func (s *Store) flush() {
 		}
 		ev := s.pending[0]
 		s.pending = s.pending[1:]
-		ws := append([]*watcher(nil), s.watchers...)
+		ws := s.watchers
 		s.mu.Unlock()
 		for _, w := range ws {
 			if strings.HasPrefix(ev.Entry.Key, w.prefix) {
@@ -354,14 +364,10 @@ func (s *Store) flush() {
 	}
 }
 
-// mutators and sweeping readers call flush via defer, after the mutex
-// defer releases — defers run LIFO, so the lock is dropped first.
-
 // Rev returns the store's current revision.
 func (s *Store) Rev() int64 {
-	defer s.flush()
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	defer s.unlockFlush()
 	s.sweepLocked()
 	return s.rev
 }
@@ -372,9 +378,8 @@ func (s *Store) Put(key, value string, leaseID LeaseID) (int64, error) {
 	if key == "" {
 		return 0, fmt.Errorf("kvstore: empty key")
 	}
-	defer s.flush()
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	defer s.unlockFlush()
 	if s.down {
 		return 0, ErrUnavailable
 	}
@@ -407,9 +412,8 @@ func (s *Store) putLocked(key, value string, leaseID LeaseID) (int64, error) {
 
 // Get returns the entry under key.
 func (s *Store) Get(key string) (Entry, bool) {
-	defer s.flush()
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	defer s.unlockFlush()
 	if s.down {
 		return Entry{}, false
 	}
@@ -420,9 +424,8 @@ func (s *Store) Get(key string) (Entry, bool) {
 
 // Delete removes key, reporting whether it existed.
 func (s *Store) Delete(key string) bool {
-	defer s.flush()
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	defer s.unlockFlush()
 	if s.down {
 		return false
 	}
@@ -449,9 +452,8 @@ func (s *Store) CompareAndSwap(key string, expectRev int64, value string, leaseI
 	if key == "" {
 		return 0, false, fmt.Errorf("kvstore: empty key")
 	}
-	defer s.flush()
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	defer s.unlockFlush()
 	if s.down {
 		return 0, false, ErrUnavailable
 	}
@@ -473,9 +475,8 @@ func (s *Store) CompareAndSwap(key string, expectRev int64, value string, leaseI
 
 // Range returns all entries whose key has the given prefix, sorted by key.
 func (s *Store) Range(prefix string) []Entry {
-	defer s.flush()
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	defer s.unlockFlush()
 	if s.down {
 		return nil
 	}
@@ -495,9 +496,8 @@ func (s *Store) Grant(ttl simclock.Duration) (LeaseID, error) {
 	if ttl <= 0 {
 		return 0, fmt.Errorf("kvstore: lease TTL must be positive, got %v", ttl)
 	}
-	defer s.flush()
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	defer s.unlockFlush()
 	if s.down {
 		return 0, ErrUnavailable
 	}
@@ -514,9 +514,8 @@ func (s *Store) Grant(ttl simclock.Duration) (LeaseID, error) {
 // expired or unknown lease fails, exactly like etcd: the client must
 // re-grant and re-put its keys.
 func (s *Store) KeepAlive(id LeaseID) error {
-	defer s.flush()
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	defer s.unlockFlush()
 	if s.down {
 		return ErrUnavailable
 	}
@@ -532,9 +531,8 @@ func (s *Store) KeepAlive(id LeaseID) error {
 
 // Revoke drops a lease immediately, deleting its keys.
 func (s *Store) Revoke(id LeaseID) {
-	defer s.flush()
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	defer s.unlockFlush()
 	if s.down {
 		return
 	}
@@ -551,9 +549,8 @@ func (s *Store) Revoke(id LeaseID) {
 // lease exists. While the store is down lease clocks are frozen, so the
 // remaining TTL is the one the lease had when the outage began.
 func (s *Store) LeaseRemaining(id LeaseID) (simclock.Duration, bool) {
-	defer s.flush()
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	defer s.unlockFlush()
 	s.sweepLocked()
 	l := s.leases[id]
 	if l == nil {
@@ -586,9 +583,8 @@ func (s *Store) Stats() StoreStats {
 // Sweep expires due leases eagerly (delivering watch events); drivers
 // call it from a scheduled event at NextExpiry.
 func (s *Store) Sweep() {
-	defer s.flush()
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	defer s.unlockFlush()
 	s.sweepLocked()
 }
 
@@ -608,13 +604,15 @@ func (s *Store) Watch(prefix string, fn func(Event)) WatchID {
 	return s.nextWatch
 }
 
-// Unwatch cancels a watch.
+// Unwatch cancels a watch. It replaces the watcher list instead of editing
+// it in place, so a flush iterating the old list after dropping s.mu is
+// unaffected; Watch only appends past every length a flush has read.
 func (s *Store) Unwatch(id WatchID) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for i, w := range s.watchers {
 		if w.id == id {
-			s.watchers = append(s.watchers[:i], s.watchers[i+1:]...)
+			s.watchers = slices.Concat(s.watchers[:i], s.watchers[i+1:])
 			return
 		}
 	}
