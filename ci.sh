@@ -1,11 +1,12 @@
 #!/bin/sh
-# CI gate: build, vet, the full test suite under the race detector, and
-# a one-iteration benchmark smoke run (benchmarks are part of the paper
-# reproduction — they must at least still execute).
+# CI gate: build, vet, gofmt, the full test suite under the race
+# detector, and a one-iteration benchmark smoke run (benchmarks are part
+# of the paper reproduction — they must at least still execute).
 set -eux
 
 go build ./...
 go vet ./...
+test -z "$(gofmt -l .)"
 go test -race ./...
 go test -run='^$' -bench=. -benchtime=1x -benchmem ./...
 
@@ -138,13 +139,9 @@ done
 rm -rf "$OBS_DIR"
 
 # Facade gates: the examples are the documented surface of the options
-# API (WithStrategy/WithTracer/WithMetrics) and must keep running, and
-# the deprecated observability shims must stay until their removal is
-# deliberate — callers migrate on their own schedule.
+# API (WithStrategy/WithTracer/WithMetrics) and must keep running.
 go run ./examples/quickstart > /dev/null
 EX_DIR="$(mktemp -d -t geminiex.XXXXXX)"
 go build -o "$EX_DIR/observability" ./examples/observability
 (cd "$EX_DIR" && ./observability > /dev/null)
 rm -rf "$EX_DIR"
-grep -q "func (j \*Job) ExecuteSchemeTraced" internal/core/core.go
-grep -q "func (j \*Job) ExecuteSchemeObserved" internal/core/core.go

@@ -85,7 +85,12 @@ func main() {
 	// One registry spans both runs: the executor fills training.*, the
 	// monitored control-plane run below fills health.*.
 	reg := gemini.NewMetricsRegistry()
-	if res, err := job.ExecuteSchemeObserved(gemini.SchemeGemini, nil, reg); err == nil && !res.OOM {
+	monitored, err := gemini.NewJob(job.Spec, gemini.WithMetrics(reg))
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	if res, err := monitored.ExecuteScheme(gemini.SchemeGemini); err == nil && !res.OOM {
 		fmt.Printf("\nfluid executor (GEMINI schedule): iteration %.2f s, overhead %.1f%%\n",
 			res.IterationTime.Seconds(), res.Overhead()*100)
 		fmt.Printf("  idle utilization: %.3f of checkpoint bytes inside idle spans\n", res.IdleUtilization)
@@ -227,7 +232,11 @@ func runHealth(job *gemini.Job, reg *gemini.MetricsRegistry, promPath, csvPath s
 // recovery phases).
 func writeTrace(job *gemini.Job, spec gemini.JobSpec, path string) error {
 	execTr := gemini.NewTracer()
-	res, err := job.ExecuteSchemeTraced(gemini.SchemeGemini, execTr)
+	execJob, err := gemini.NewJob(spec, gemini.WithTracer(execTr))
+	if err != nil {
+		return err
+	}
+	res, err := execJob.ExecuteScheme(gemini.SchemeGemini)
 	if err != nil {
 		return err
 	}

@@ -43,7 +43,6 @@ import (
 	"fmt"
 	"io"
 
-	"gemini/internal/agent"
 	"gemini/internal/baselines"
 	"gemini/internal/chaos"
 	"gemini/internal/cloud"
@@ -270,13 +269,6 @@ func RecoveryProbabilityMonteCarlo(p *Placement, k, trials int, seed int64) floa
 	return placement.MonteCarlo(p, k, trials, seed)
 }
 
-// RecoveryProbabilityMonteCarloWorkers is RecoveryProbabilityMonteCarlo
-// with an explicit worker count (≤ 0 means GOMAXPROCS); any worker count
-// yields the identical estimate.
-func RecoveryProbabilityMonteCarloWorkers(p *Placement, k, trials int, seed int64, workers int) float64 {
-	return placement.MonteCarloWorkers(p, k, trials, seed, workers)
-}
-
 // CorrelatedRecoveryProbability is the rack-level analogue of
 // RecoveryProbabilityExact: the probability that a placement survives k
 // whole racks failing together, over all equally likely k-subsets of
@@ -320,8 +312,6 @@ type (
 	FailureSchedule = failure.Schedule
 	// FailureModel is a stochastic per-instance failure-rate model.
 	FailureModel = failure.Model
-	// FailureEvent is one injected failure.
-	FailureEvent = failure.Event
 )
 
 // Failure kinds (§6.1).
@@ -414,14 +404,6 @@ const (
 // Faults starts a fluent fault-schedule builder.
 func Faults() *FaultBuilder { return chaos.NewBuilder() }
 
-// Trace events (what recovery systems log).
-type (
-	// TraceLog is the append-only simulation event log.
-	TraceLog = trace.Log
-	// TraceEvent is one logged event.
-	TraceEvent = trace.Event
-)
-
 // Structured observability: span tracing with Chrome trace-event
 // (Perfetto-loadable) export.
 type (
@@ -434,7 +416,7 @@ type (
 )
 
 // NewTracer creates an empty tracer. The simulation installs its clock
-// when the tracer is attached (Job.ExecuteSchemeTraced, System.SetTracer,
+// when the tracer is attached (WithTracer, System.SetTracer,
 // Fabric.SetTracer).
 func NewTracer() *Tracer { return trace.NewTracer(nil) }
 
@@ -449,8 +431,8 @@ func TraceStatsFromJSON(data []byte) (*TraceStats, error) { return trace.StatsFr
 // Run health monitoring: live metric instruments, a sim-time series
 // recorder, and Prometheus / CSV export. Attach a registry to the
 // control plane with System.SetMetrics (health.* gauges, the Eq. 1
-// wasted-time histograms) or to the executor via
-// Job.ExecuteSchemeObserved (training.* instruments); a Recorder
+// wasted-time histograms) or to every run a job starts via WithMetrics
+// (training.* instruments from Job.ExecuteScheme); a Recorder
 // samples watched instruments on a sim-time cadence for timeline
 // export. Monitoring is a pure observer — a monitored run replays
 // bit-identically.
@@ -459,13 +441,6 @@ type (
 	MetricsRegistry = metrics.Registry
 	// MetricsRecorder samples watched instruments into sim-time series.
 	MetricsRecorder = metrics.Recorder
-	// MetricsSeries is one instrument's sampled timeline (a ring buffer).
-	MetricsSeries = metrics.Series
-	// MetricsSnapshot is a finished, ordered name=value rendering.
-	MetricsSnapshot = metrics.CounterSet
-	// HealthEvent is one failure's Eq. 1 wasted-time record, from
-	// System.WastedEvents.
-	HealthEvent = agent.WastedEvent
 )
 
 // NewMetricsRegistry creates an empty metrics registry.
@@ -539,8 +514,6 @@ type (
 	// CampaignProgress counts campaign work live; safe for any number of
 	// concurrent writers and readers, nil-disabled.
 	CampaignProgress = obs.Progress
-	// ProgressSnapshot is a point-in-time view of campaign progress.
-	ProgressSnapshot = obs.Snapshot
 	// LiveRegistry is a mutex-guarded registry workers merge per-run
 	// results into, for serving while a campaign runs. Arrival-order —
 	// use the report's deterministic rollup for goldens.
@@ -572,9 +545,6 @@ func ServeObservability(addr string, prog *CampaignProgress, live *LiveRegistry)
 	return obs.NewServer(addr, prog, live)
 }
 
-// FlightKeys lists the badness rankings CampaignOutliers accepts.
-func FlightKeys() []string { return append([]string(nil), scenario.FlightKeys...) }
-
 // CampaignOutliers ranks a report's recorded runs (RecordRuns must have
 // been set) by the given key and returns the worst k.
 func CampaignOutliers(rep *CampaignReport, key string, k int) ([]RunRecord, error) {
@@ -590,6 +560,3 @@ func ReplayRun(c *CompiledScenario, rec RunRecord) (*FlightRun, error) { return 
 // defects: unbalanced begin/end span nesting and counter samples on
 // unnamed tracks. Traces written by WriteTrace always lint clean.
 func LintTrace(data []byte) ([]TraceLintIssue, error) { return trace.Lint(data) }
-
-// WriteCampaignHTML renders the report as a self-contained HTML page.
-func WriteCampaignHTML(w io.Writer, r *CampaignReport) error { return scenario.WriteHTML(w, r) }

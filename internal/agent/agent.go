@@ -172,15 +172,12 @@ type System struct {
 
 // NewSystem builds the control plane for an n-machine cluster.
 func NewSystem(engine *simclock.Engine, cl *cluster.Cluster, ck *ckpt.Engine,
-	op *cloud.Operator, opts Options, log *trace.Log) (*System, error) {
+	op *cloud.Operator, opts Options) (*System, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
 	if cl.Size() != ck.Placement().N {
 		return nil, fmt.Errorf("agent: cluster size %d != placement size %d", cl.Size(), ck.Placement().N)
-	}
-	if log == nil {
-		log = trace.NewLog(engine.Now)
 	}
 	s := &System{
 		engine:      engine,
@@ -190,7 +187,7 @@ func NewSystem(engine *simclock.Engine, cl *cluster.Cluster, ck *ckpt.Engine,
 		operator:    op,
 		placement:   ck.Placement(),
 		opts:        opts,
-		log:         log,
+		log:         trace.NewLog(engine.Now),
 		rootRank:    -1,
 		live:        make([]bool, cl.Size()),
 		partitioned: make(map[int]bool),
@@ -305,7 +302,7 @@ func (s *System) Start() {
 		s.startWorker(rank, 0)
 	}
 	s.promoteRoot()
-	s.WatchRootFailover()
+	s.watchRootFailover()
 	s.training = true
 	s.scheduleIteration()
 	s.scheduleSweep()
@@ -508,10 +505,10 @@ func (s *System) rootCheck() {
 	}
 }
 
-// WatchRootFailover arms every worker to notice the root key vanishing
+// watchRootFailover arms every worker to notice the root key vanishing
 // (the root machine died) and promote a new root. In etcd terms this is
 // a watch on the election key.
-func (s *System) WatchRootFailover() {
+func (s *System) watchRootFailover() {
 	s.store.Watch(leaderKey, func(ev kvstore.Event) {
 		if ev.Type != kvstore.EventDelete {
 			return

@@ -9,7 +9,6 @@ import (
 	"gemini/internal/cluster"
 	"gemini/internal/placement"
 	"gemini/internal/simclock"
-	"gemini/internal/trace"
 )
 
 // chaosOpts keeps chaos scenarios fast: short serialize/warmup, standby
@@ -29,12 +28,11 @@ func newChaosFixture(t *testing.T, n, m int, opts Options, cloudCfg cloud.Config
 	clus := cluster.MustNew(n, cluster.MustInstance("p4d.24xlarge"), engine.Now)
 	ck := ckpt.MustNewEngine(placement.MustMixed(n, m), 75e9)
 	op := cloud.MustNewOperator(engine, cloudCfg)
-	log := trace.NewLog(engine.Now)
-	sys, err := NewSystem(engine, clus, ck, op, opts, log)
+	sys, err := NewSystem(engine, clus, ck, op, opts)
 	if err != nil {
 		t.Fatalf("NewSystem: %v", err)
 	}
-	return &fixture{engine: engine, clus: clus, ck: ck, op: op, sys: sys, log: log}
+	return &fixture{engine: engine, clus: clus, ck: ck, op: op, sys: sys, log: sys.Log()}
 }
 
 // A hardware failure whose only surviving replica holder is partitioned

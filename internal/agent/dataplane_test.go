@@ -9,7 +9,6 @@ import (
 	"gemini/internal/placement"
 	"gemini/internal/simclock"
 	"gemini/internal/statemgr"
-	"gemini/internal/trace"
 )
 
 // Data-plane integration: the live control plane moves real shard bytes
@@ -26,13 +25,12 @@ func newDataPlaneFixture(t *testing.T, n, m int) *fixture {
 	p := placement.MustMixed(n, m)
 	ck := ckpt.MustNewEngine(p, dpShard)
 	op := cloud.MustNewOperator(engine, cloud.DefaultConfig())
-	log := trace.NewLog(engine.Now)
-	sys, err := NewSystem(engine, clus, ck, op, DefaultOptions(iterTime), log)
+	sys, err := NewSystem(engine, clus, ck, op, DefaultOptions(iterTime))
 	if err != nil {
 		t.Fatal(err)
 	}
 	sys.SetDataPlane(statemgr.MustNew(p, dpShard, 77))
-	return &fixture{engine: engine, clus: clus, ck: ck, op: op, sys: sys, log: log}
+	return &fixture{engine: engine, clus: clus, ck: ck, op: op, sys: sys, log: sys.Log()}
 }
 
 func TestDataPlaneHealthyTraining(t *testing.T) {

@@ -235,7 +235,7 @@ func benchFixture(b *testing.B, engine *simclock.Engine) *System {
 	clus := cluster.MustNew(4, cluster.MustInstance("p4d.24xlarge"), engine.Now)
 	ck := ckpt.MustNewEngine(placement.MustMixed(4, 2), 75e9)
 	op := cloud.MustNewOperator(engine, cloud.DefaultConfig())
-	sys, err := NewSystem(engine, clus, ck, op, DefaultOptions(iterTime), nil)
+	sys, err := NewSystem(engine, clus, ck, op, DefaultOptions(iterTime))
 	if err != nil {
 		b.Fatal(err)
 	}

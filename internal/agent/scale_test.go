@@ -26,7 +26,7 @@ func BenchmarkControlPlaneScale(b *testing.B) {
 				clus := cluster.MustNew(n, cluster.MustInstance("p4d.24xlarge"), engine.Now)
 				ck := ckpt.MustNewEngine(placement.MustMixed(n, 2), 75e9)
 				op := cloud.MustNewOperator(engine, cloud.DefaultConfig())
-				sys, err := NewSystem(engine, clus, ck, op, DefaultOptions(iterTime), nil)
+				sys, err := NewSystem(engine, clus, ck, op, DefaultOptions(iterTime))
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -27,15 +27,6 @@ func NewTopology(n, rackSize int) (Topology, error) {
 	return Topology{n: n, rackSize: rackSize}, nil
 }
 
-// MustNewTopology is NewTopology, panicking on error.
-func MustNewTopology(n, rackSize int) Topology {
-	t, err := NewTopology(n, rackSize)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
 // Machines returns the number of machines.
 func (t Topology) Machines() int { return t.n }
 

@@ -185,47 +185,37 @@ func (j *Job) RecoveryProbability(k int) float64 {
 // traffic pattern; for the other parallelisms use the analytic plan
 // (Job.Plan) instead.
 func (j *Job) ExecuteScheme(s schedule.Scheme) (*training.ExecResult, error) {
-	return j.executeScheme(s, j.Spec.Tracer, j.Spec.Metrics)
+	opts, err := j.execOptions(s)
+	if err != nil {
+		return nil, err
+	}
+	return training.Execute(j.Config, opts)
 }
 
-func (j *Job) executeScheme(s schedule.Scheme, tr *trace.Tracer, reg *metrics.Registry) (*training.ExecResult, error) {
+// ExecuteSchemeWithBuffers is ExecuteScheme with an explicit reserved
+// GPU buffer size R and sub-buffer count p — the pipeline-depth ablation.
+func (j *Job) ExecuteSchemeWithBuffers(s schedule.Scheme, bufferBytes float64, parts int) (*training.ExecResult, error) {
+	opts, err := j.execOptions(s)
+	if err != nil {
+		return nil, err
+	}
+	opts.BufferBytes = bufferBytes
+	opts.BufferParts = parts
+	return training.Execute(j.Config, opts)
+}
+
+// execOptions builds the executor options for a scheme over the job's
+// derived placement, timeline and profile, with its tracer and metrics.
+func (j *Job) execOptions(s schedule.Scheme) (training.ExecOptions, error) {
 	if j.Spec.Parallelism != training.ZeRO3 {
-		return nil, fmt.Errorf("core: the interference executor supports ZeRO-3 only, job uses %v", j.Spec.Parallelism)
+		return training.ExecOptions{}, fmt.Errorf("core: the interference executor supports ZeRO-3 only, job uses %v", j.Spec.Parallelism)
 	}
 	opts := training.DefaultExecOptions(j.Placement, s)
 	opts.Timeline = j.Timeline
 	opts.Profile = j.Profile
-	opts.Tracer = tr
-	opts.Metrics = reg
-	return training.Execute(j.Config, opts)
-}
-
-// ExecuteSchemeTraced is ExecuteScheme with an explicit tracer.
-//
-// Deprecated: set the tracer on the job instead (gemini.WithTracer) and
-// call ExecuteScheme.
-func (j *Job) ExecuteSchemeTraced(s schedule.Scheme, tr *trace.Tracer) (*training.ExecResult, error) {
-	return j.executeScheme(s, tr, j.Spec.Metrics)
-}
-
-// ExecuteSchemeObserved is ExecuteScheme with an explicit tracer and
-// metrics registry.
-//
-// Deprecated: set both on the job instead (gemini.WithTracer,
-// gemini.WithMetrics) and call ExecuteScheme.
-func (j *Job) ExecuteSchemeObserved(s schedule.Scheme, tr *trace.Tracer, reg *metrics.Registry) (*training.ExecResult, error) {
-	return j.executeScheme(s, tr, reg)
-}
-
-// ExecuteSchemeWithBuffers runs the executor with an explicit reserved
-// GPU buffer size R and sub-buffer count p — the pipeline-depth ablation.
-func (j *Job) ExecuteSchemeWithBuffers(s schedule.Scheme, bufferBytes float64, parts int) (*training.ExecResult, error) {
-	opts := training.DefaultExecOptions(j.Placement, s)
-	opts.Timeline = j.Timeline
-	opts.Profile = j.Profile
-	opts.BufferBytes = bufferBytes
-	opts.BufferParts = parts
-	return training.Execute(j.Config, opts)
+	opts.Tracer = j.Spec.Tracer
+	opts.Metrics = j.Spec.Metrics
+	return opts, nil
 }
 
 // SimulateRun plays a failure schedule against a solution spec and
@@ -284,8 +274,7 @@ func (j *Job) RecoverySystem(cloudCfg cloud.Config) (*simclock.Engine, *agent.Sy
 	opts.RetrievalPeerBandwidth = j.Config.Instance.NetworkBytesPerSec
 	opts.RetrievalRemoteBandwidth = j.Spec.RemoteBandwidth
 	opts.SerializeTime = j.Costs.SerializeTime(2 * j.Config.ShardBytesPerMachine())
-	log := trace.NewLog(engine.Now)
-	sys, err := agent.NewSystem(engine, clus, ck, op, opts, log)
+	sys, err := agent.NewSystem(engine, clus, ck, op, opts)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -169,17 +169,22 @@ func TestRecoverySystemEndToEnd(t *testing.T) {
 	}
 }
 
-// ExecuteSchemeObserved attaches both observability surfaces at once:
-// the tracer records the run's spans, the registry fills with training.*
-// instruments, and the measured result matches the unobserved run.
+// A job carrying both observability sinks (JobSpec.Tracer, JobSpec.Metrics)
+// attaches them to ExecuteScheme: the tracer records the run's spans, the
+// registry fills with training.* instruments, and the measured result
+// matches the unobserved run.
 func TestExecuteSchemeObserved(t *testing.T) {
 	j := paperJob(t)
 	tr := trace.NewTracer(nil)
 	reg := metrics.NewRegistry()
-	res, err := j.ExecuteSchemeObserved(schedule.SchemeGemini, tr, reg)
+	spec := j.Spec
+	spec.Tracer, spec.Metrics = tr, reg
+	observed := MustNewJob(spec)
+	res, err := observed.ExecuteScheme(schedule.SchemeGemini)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Both sinks nil is legal: the bare job runs plain execution.
 	bare, err := j.ExecuteScheme(schedule.SchemeGemini)
 	if err != nil {
 		t.Fatal(err)
@@ -201,8 +206,21 @@ func TestExecuteSchemeObserved(t *testing.T) {
 	if len(tr.Tracks()) == 0 {
 		t.Fatal("tracer recorded no tracks")
 	}
-	// Both nil is legal: plain execution.
-	if _, err := j.ExecuteSchemeObserved(schedule.SchemeGemini, nil, nil); err != nil {
+}
+
+// The pipeline-depth ablation goes through the same option builder as
+// ExecuteScheme, so a spec-attached tracer and registry see its runs too.
+func TestExecuteSchemeWithBuffersObserved(t *testing.T) {
+	tr := trace.NewTracer(nil)
+	reg := metrics.NewRegistry()
+	j := MustNewJob(JobSpec{Model: "GPT-2 40B", Instance: "p3dn.24xlarge", Machines: 16, Tracer: tr, Metrics: reg})
+	if _, err := j.ExecuteSchemeWithBuffers(schedule.SchemeGemini, 8*128e6, 4); err != nil {
 		t.Fatal(err)
+	}
+	if len(tr.Tracks()) == 0 {
+		t.Fatal("tracer recorded no executor tracks")
+	}
+	if v, ok := reg.Snapshot().Get("training.iteration_seconds.count"); !ok || v == 0 {
+		t.Fatal("no iteration observations in registry")
 	}
 }

@@ -262,9 +262,6 @@ func MustNewFabric(engine *simclock.Engine, n int, cfg Config) *Fabric {
 	return f
 }
 
-// Nodes returns the number of endpoints.
-func (fb *Fabric) Nodes() int { return len(fb.nodes) }
-
 // Config returns the fabric configuration.
 func (fb *Fabric) Config() Config { return fb.cfg }
 
@@ -358,12 +355,6 @@ func (fb *Fabric) SetNodeCapacity(i int, egressBytesPerSec, ingressBytesPerSec f
 	fb.nodes[i].ingressCap = ingressBytesPerSec
 	fb.markDirty(i)
 	fb.armRecompute()
-}
-
-// NodeCapacity returns endpoint i's (egress, ingress) bandwidth.
-func (fb *Fabric) NodeCapacity(i int) (egress, ingress float64) {
-	fb.checkNode(i)
-	return fb.nodes[i].egressCap, fb.nodes[i].ingressCap
 }
 
 // NodeUp reports whether endpoint i is healthy.

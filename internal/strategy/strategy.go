@@ -7,7 +7,7 @@
 // mechanism — leases, detection, retries, event scheduling, rollback —
 // and asks the installed strategy for policy at each decision point.
 //
-// Four strategies ship in the registry:
+// Four strategies ship in the package's fixed table:
 //
 //   - gemini: the paper's scheme, extracted unchanged — full replication
 //     to every placement holder each iteration, peer retrieval, remote
@@ -29,7 +29,6 @@ package strategy
 
 import (
 	"fmt"
-	"sort"
 
 	"gemini/internal/ckpt"
 	"gemini/internal/placement"
@@ -197,29 +196,25 @@ type Strategy interface {
 	OnRecovered(outcome Outcome)
 }
 
-// registry of named strategy factories. Factories return fresh,
-// unbound instances — strategies are stateful and single-run.
-var registry = map[string]func() Strategy{}
-
-// Register adds a named strategy factory. Registering a duplicate name
-// panics — names are a public API surface.
-func Register(name string, factory func() Strategy) {
-	if name == "" || factory == nil {
-		panic("strategy: Register needs a name and a factory")
-	}
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("strategy: duplicate registration of %q", name))
-	}
-	registry[name] = factory
+// table lists the shipped strategies sorted by name; a name's position
+// is its Index. Factories return fresh, unbound instances — strategies
+// are stateful and single-run.
+var table = [...]struct {
+	name string
+	new  func() Strategy
+}{
+	{"adaptive", func() Strategy { return NewAdaptive() }},
+	{"gemini", func() Strategy { return NewGemini() }},
+	{"sparse", func() Strategy { return NewSparse() }},
+	{"tiered", func() Strategy { return NewTiered() }},
 }
 
 // New returns a fresh instance of the named strategy.
 func New(name string) (Strategy, error) {
-	f, ok := registry[name]
-	if !ok {
-		return nil, fmt.Errorf("strategy: unknown strategy %q (registered: %v)", name, Names())
+	if i := Index(name); i >= 0 {
+		return table[i].new(), nil
 	}
-	return f(), nil
+	return nil, fmt.Errorf("strategy: unknown strategy %q (registered: %v)", name, Names())
 }
 
 // MustNew is New for known-good names.
@@ -231,30 +226,22 @@ func MustNew(name string) Strategy {
 	return s
 }
 
-// Names returns the registered strategy names, sorted.
+// Names returns the strategy names, sorted, in a fresh slice.
 func Names() []string {
-	out := make([]string, 0, len(registry))
-	for name := range registry {
-		out = append(out, name)
+	out := make([]string, len(table))
+	for i, e := range table {
+		out[i] = e.name
 	}
-	sort.Strings(out)
 	return out
 }
 
 // Index returns the name's position in Names(), or -1 — the stable
 // numeric encoding behind the strategy.active gauge.
 func Index(name string) int {
-	for i, n := range Names() {
-		if n == name {
+	for i, e := range table {
+		if e.name == name {
 			return i
 		}
 	}
 	return -1
-}
-
-func init() {
-	Register("gemini", func() Strategy { return NewGemini() })
-	Register("tiered", func() Strategy { return NewTiered() })
-	Register("sparse", func() Strategy { return NewSparse() })
-	Register("adaptive", func() Strategy { return NewAdaptive() })
 }

@@ -349,9 +349,9 @@ func lastOffset(params schedule.Params) simclock.Duration {
 // The engine, fabric, and copiers themselves are per-run (they are bound
 // to one simclock engine), but their container slices recycle.
 type execScratch struct {
-	computeDur                    []simclock.Duration
-	agDone, compStarted, compDone []bool
-	copiers                       []*netsim.Copier
+	computeDur                      []simclock.Duration
+	agDone, compStarted, compDone   []bool
+	copiers                         []*netsim.Copier
 	iterTimes, ckptTimes, idleTimes []simclock.Duration
 }
 

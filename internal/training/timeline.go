@@ -130,9 +130,9 @@ func BuildTimeline(cfg Config) (*Timeline, error) {
 
 	labels := labelsFor(layers)
 	type step struct {
-		label   string // interned compute label
-		agLabel string // interned all-gather label
-		rsLabel string // interned reduce-scatter label (backward only)
+		label   string            // interned compute label
+		agLabel string            // interned all-gather label
+		rsLabel string            // interned reduce-scatter label (backward only)
 		comm    simclock.Duration // pre-compute all-gather
 		compute simclock.Duration
 		post    simclock.Duration // post-compute reduce-scatter (backward only)

@@ -115,8 +115,7 @@ func TestWithoutDerivationCacheAndStatsSurface(t *testing.T) {
 }
 
 // WithTracer/WithMetrics attach through the spec: RecoverySystem wires
-// them in and ExecuteScheme picks them up, replacing the deprecated
-// ExecuteSchemeObserved entry point and the loose setters.
+// them in and ExecuteScheme picks them up, with no loose setters.
 func TestObservabilityOptionsAttach(t *testing.T) {
 	tr := NewTracer()
 	reg := NewMetricsRegistry()
