@@ -9,7 +9,9 @@
 # BenchmarkSurvivesFailed, BenchmarkBuildTimeline,
 # BenchmarkProfileWithJitter) and the control-plane scaling set
 # (BenchmarkLeaseKeepAlive/N, BenchmarkControlPlaneScale/N) whose
-# numbers back the EXPERIMENTS.md overhead, kernel and scaling tables.
+# numbers back the EXPERIMENTS.md overhead, kernel and scaling tables,
+# and the §7.4 data-plane set (BenchmarkExecuteSchemes: all five
+# interleaving schemes through the flow engine and the executor).
 #
 # Usage:
 #   ./bench.sh                # full suite, -count=3

@@ -11,9 +11,11 @@ go test -race ./...
 go test -run='^$' -bench=. -benchtime=1x -benchmem ./...
 
 # Fabric perf gates, outside the race detector (race instrumentation
-# allocates): steady-state fabric events must stay allocation-free, and
-# the fabric benchmarks must still run at every scale.
-go test -run='^TestSteadyStateFabricEventsDoNotAllocate$' -count=1 ./internal/netsim
+# allocates): steady-state fabric events must stay allocation-free, a
+# warm ring round of flows and a warm GPU→CPU copy must cost (almost) no
+# allocation of their own, and the fabric benchmarks must still run at
+# every scale.
+go test -run='^TestSteadyStateFabricEventsDoNotAllocate$|^TestFlowLifecycleAllocs$|^TestCopierSteadyStateAllocs$' -count=1 ./internal/netsim
 go test -run='^$' -bench='^BenchmarkFabricRing' -benchtime=1x -benchmem ./internal/netsim
 
 # Control-plane perf gates (outside the race detector): a lease renewal

@@ -14,12 +14,17 @@ import (
 // nearly as long as the transfers themselves.
 //
 // Copies are served FIFO at the configured bandwidth, one at a time: a
-// single DMA engine dedicated to checkpoint movement.
+// single DMA engine dedicated to checkpoint movement. Serving one copy at
+// a time lets the channel keep a single completion event, rearmed for
+// each copy, and Copy objects come from a per-copier slab.
 type Copier struct {
 	engine    *simclock.Engine
 	bandwidth float64 // bytes/sec
 	queue     []*Copy // pending copies are queue[head:]; backing array reused
 	head      int
+	copies    slab[Copy]
+	cur       *Copy            // the copy in flight while busy
+	done      simclock.EventID // cur's completion; rearmed per copy
 	busy      bool
 	busyTotal simclock.Duration
 	busySince simclock.Time
@@ -72,7 +77,8 @@ func (c *Copier) Submit(bytes float64, label string, onDone func(*Copy)) *Copy {
 	if bytes < 0 {
 		panic(fmt.Sprintf("netsim: invalid copy size %v", bytes))
 	}
-	cp := &Copy{Bytes: bytes, Label: label, onDone: onDone, state: FlowStarting}
+	cp := c.copies.alloc()
+	*cp = Copy{Bytes: bytes, Label: label, onDone: onDone, state: FlowStarting}
 	c.queue = append(c.queue, cp)
 	c.kick()
 	return cp
@@ -93,32 +99,46 @@ func (c *Copier) BusyTime() simclock.Duration {
 }
 
 func (c *Copier) kick() {
-	if c.busy {
-		return
-	}
-	if c.head == len(c.queue) {
-		if c.head > 0 {
-			c.queue = c.queue[:0]
-			c.head = 0
-		}
+	if c.busy || c.head == len(c.queue) {
 		return
 	}
 	cp := c.queue[c.head]
 	c.queue[c.head] = nil
 	c.head++
+	if c.head == len(c.queue) || c.head > cap(c.queue)/2 {
+		// Slide the pending tail down once the queue empties or its
+		// consumed prefix passes half the backing array, so a channel that
+		// never goes idle still reuses the array: O(1) amortized, and the
+		// array stays within about twice the peak backlog.
+		n := copy(c.queue, c.queue[c.head:])
+		clear(c.queue[n:])
+		c.queue = c.queue[:n]
+		c.head = 0
+	}
 	c.busy = true
 	c.busySince = c.engine.Now()
 	cp.state = FlowActive
-	c.engine.After(c.CopyTime(cp.Bytes), func() {
-		cp.state = FlowDone
-		c.busy = false
-		c.busyTotal += c.engine.Now().Sub(c.busySince)
-		c.track.Span(trace.CatNetsim, cp.Label, c.busySince, c.engine.Now())
-		if cp.onDone != nil {
-			cb := cp.onDone
-			cp.onDone = nil
-			cb(cp)
-		}
-		c.kick()
-	})
+	c.cur = cp
+	at := c.busySince.Add(c.CopyTime(cp.Bytes))
+	if c.done == (simclock.EventID{}) {
+		c.done = c.engine.At(at, c.complete)
+	} else {
+		c.engine.Rearm(c.done, at)
+	}
+}
+
+// complete finishes the copy in flight and starts the next one.
+func (c *Copier) complete() {
+	cp := c.cur
+	c.cur = nil
+	cp.state = FlowDone
+	c.busy = false
+	c.busyTotal += c.engine.Now().Sub(c.busySince)
+	c.track.Span(trace.CatNetsim, cp.Label, c.busySince, c.engine.Now())
+	if cp.onDone != nil {
+		cb := cp.onDone
+		cp.onDone = nil
+		cb(cp)
+	}
+	c.kick()
 }

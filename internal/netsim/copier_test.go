@@ -88,3 +88,32 @@ func TestCopierRejectsBadConfig(t *testing.T) {
 	}()
 	c.Submit(-5, "bad", nil)
 }
+
+// A channel that never goes idle must still reuse its queue: 10k copies
+// with at most two pending keep the backing array at the peak backlog,
+// not at the number of copies ever submitted.
+func TestCopierQueueStaysBoundedWhileBusy(t *testing.T) {
+	const total = 10000
+	e := simclock.NewEngine()
+	c := MustNewCopier(e, 100)
+	submitted, completed := 0, 0
+	var next func(*Copy)
+	next = func(*Copy) {
+		completed++
+		if submitted < total {
+			submitted++
+			c.Submit(1, "c", next)
+		}
+	}
+	for i := 0; i < 2; i++ {
+		submitted++
+		c.Submit(1, "c", next)
+	}
+	e.RunAll()
+	if completed != total {
+		t.Fatalf("%d copies completed, want %d", completed, total)
+	}
+	if cap(c.queue) > 8 {
+		t.Fatalf("queue backing grew to %d slots with at most 2 pending, want ≤ 8", cap(c.queue))
+	}
+}

@@ -105,7 +105,7 @@ type Flow struct {
 	started   simclock.Time
 	finished  simclock.Time
 	onDone    func(*Flow)
-	startEv   simclock.EventID
+	batch     *startBatch // the start batch ending its window; nil once it ended
 
 	seq        uint64        // global start order; the deterministic tie-break
 	lastUpdate simclock.Time // instant remaining was last settled to
@@ -153,8 +153,17 @@ func (f *Flow) Cancel() {
 	if f.state == FlowDone || f.state == FlowFailed || f.state == FlowCanceled {
 		return
 	}
-	f.startEv.Cancel()
 	fb := f.fabric
+	if b := f.batch; b != nil {
+		// A batch whose every flow was canceled must not fire: its event
+		// goes with the last one, as each flow's own event would have.
+		f.batch = nil
+		b.live--
+		if b.live == 0 {
+			b.ev.Cancel()
+			fb.releaseBatch(b)
+		}
+	}
 	if f.state == FlowActive {
 		fb.settleFlow(f, fb.engine.Now())
 	}
@@ -205,6 +214,13 @@ type Fabric struct {
 	nodeFactor []float64
 
 	flowSeq uint64
+	flows   slab[Flow]
+
+	// open is the last start batch armed, until it fires or empties; a
+	// StartFlow joins it only at the same instant with nothing scheduled
+	// since. freeBatches pools batches with no flow left to handle.
+	open        *startBatch
+	freeBatches []*startBatch
 
 	// Dirty set and pooled scratch, reused across events so steady-state
 	// flow traffic never allocates.
@@ -281,7 +297,8 @@ func (fb *Fabric) StartFlow(src, dst int, bytes float64, label string, onDone fu
 	if src == dst {
 		panic("netsim: flow source and destination must differ")
 	}
-	fl := &Flow{
+	fl := fb.flows.alloc()
+	*fl = Flow{
 		Src: src, Dst: dst, Label: label,
 		fabric: fb, bytes: bytes, remaining: bytes,
 		state: FlowStarting, started: fb.engine.Now(), onDone: onDone,
@@ -299,22 +316,101 @@ func (fb *Fabric) StartFlow(src, dst int, bytes float64, label string, onDone fu
 		})
 		return fl
 	}
-	fl.startEv = fb.engine.After(fb.cfg.Alpha, func() {
+	b := fb.open
+	if b == nil || b.startedAt != fb.engine.Now() || fb.engine.NextSeq() != b.seq+1 {
+		b = fb.armBatch()
+	}
+	b.flows = append(b.flows, fl)
+	b.live++
+	fl.batch = b
+	return fl
+}
+
+// startBatch ends the α startup windows of a run of flows started at one
+// instant with nothing scheduled between them. Each of those flows would
+// have had its own After(α) event, with consecutive sequence numbers and
+// so adjacent in the firing order; the batch's one event takes the first
+// flow's key and ends the windows in start order, which fires exactly as
+// the per-flow events would have.
+type startBatch struct {
+	fabric    *Fabric
+	ev        simclock.EventID
+	seq       uint64        // the sequence number ev drew
+	startedAt simclock.Time // the instant its flows started
+	flows     []*Flow       // in start order; flows[:next] are handled
+	next      int
+	live      int // flows still waiting in their window
+}
+
+// armBatch opens a new start batch at the current instant, its event
+// aimed at the end of the startup window.
+func (fb *Fabric) armBatch() *startBatch {
+	var b *startBatch
+	if n := len(fb.freeBatches); n > 0 {
+		b = fb.freeBatches[n-1]
+		fb.freeBatches[n-1] = nil
+		fb.freeBatches = fb.freeBatches[:n-1]
+	} else {
+		b = &startBatch{fabric: fb}
+	}
+	now := fb.engine.Now()
+	b.startedAt = now
+	b.seq = fb.engine.NextSeq()
+	if b.ev == (simclock.EventID{}) {
+		b.ev = fb.engine.After(fb.cfg.Alpha, b.fire)
+	} else {
+		fb.engine.Rearm(b.ev, now.Add(fb.cfg.Alpha))
+	}
+	fb.open = b
+	return b
+}
+
+// releaseBatch returns a batch whose flows are all handled to the pool.
+func (fb *Fabric) releaseBatch(b *startBatch) {
+	if fb.open == b {
+		fb.open = nil
+	}
+	clear(b.flows)
+	b.flows = b.flows[:0]
+	b.next, b.live = 0, 0
+	fb.freeBatches = append(fb.freeBatches, b)
+}
+
+// fire ends the startup window of each flow still starting, in start
+// order. Canceled flows are skipped. A flow whose endpoint failed or was
+// partitioned away during the window never carried a byte and fails
+// here; its callback may schedule events that would have fired before
+// the next flow's own event, so the rest of the batch is re-queued under
+// its original key before the callback runs.
+func (b *startBatch) fire() {
+	fb := b.fabric
+	if fb.open == b {
+		fb.open = nil
+	}
+	now := fb.engine.Now()
+	for b.next < len(b.flows) {
+		fl := b.flows[b.next]
+		b.next++
 		if fl.state != FlowStarting {
-			return
+			continue
 		}
-		// An endpoint may have failed or been partitioned away during the
-		// startup window; such flows never carried a byte and fail here.
+		fl.batch = nil
+		b.live--
 		if !fb.nodes[fl.Src].up || !fb.nodes[fl.Dst].up || !fb.Reachable(fl.Src, fl.Dst) {
+			if b.live > 0 {
+				fb.engine.Requeue(b.ev)
+			} else {
+				fb.releaseBatch(b)
+			}
 			fb.finishFlow(fl, FlowFailed)
 			return
 		}
 		fl.state = FlowActive
-		fl.lastUpdate = fb.engine.Now()
+		fl.lastUpdate = now
 		fb.attachFlow(fl)
 		fb.armRecompute()
-	})
-	return fl
+	}
+	fb.releaseBatch(b)
 }
 
 func (fb *Fabric) checkNode(i int) {

@@ -683,21 +683,25 @@ func (ex *executor) startCheckpoint() {
 		}
 	}
 
+	// Every callback below is built once per machine per iteration and
+	// shared by all of that machine's chunks: a copy or flow carries its
+	// own size and endpoints, so nothing per chunk needs capturing.
+	onCopied := func(cp *netsim.Copy) { copied(cp.Bytes) }
 	chunkSize := ex.opts.BufferBytes / float64(ex.opts.BufferParts)
 	for machine := 0; machine < n; machine++ {
 		machine := machine
 		// Local shard copy, partitioned like the remote chunks (§5.3
-		// "Move checkpoints from GPU to local CPU").
-		remain := ex.shard
-		for remain > 0 {
-			sz := chunkSize
-			if sz > remain {
-				sz = remain
-			}
-			remain -= sz
+		// "Move checkpoints from GPU to local CPU"). One event submits
+		// every chunk in order; nothing can fire between same-instant
+		// submits, so this orders them as one event per chunk would.
+		if ex.shard > 0 {
 			ex.engine.After(0, func() {
 				markActivity()
-				ex.copiers[machine].Submit(sz, "local-ckpt", func(cp *netsim.Copy) { copied(cp.Bytes) })
+				for remain := ex.shard; remain > 0; {
+					sz := min(chunkSize, remain)
+					remain -= sz
+					ex.copiers[machine].Submit(sz, "local-ckpt", onCopied)
+				}
 			})
 		}
 
@@ -711,6 +715,18 @@ func (ex *executor) startCheckpoint() {
 		// offset.
 		idx := 0
 		var sendNext func()
+		onRemoteCopied := func(cp *netsim.Copy) {
+			copied(cp.Bytes)
+			if !ex.pipelined {
+				sendNext()
+			}
+		}
+		onSent := func(fl *netsim.Flow) {
+			ex.copiers[fl.Dst].Submit(fl.Bytes(), "remote-ckpt", onRemoteCopied)
+			if ex.pipelined {
+				sendNext()
+			}
+		}
 		sendNext = func() {
 			if idx >= len(ex.jobs) {
 				return
@@ -722,19 +738,8 @@ func (ex *executor) startCheckpoint() {
 				return
 			}
 			idx++
-			dst := peers[job.replica%len(peers)]
 			markActivity()
-			ex.fabric.StartFlow(machine, dst, job.bytes, "ckpt-chunk", func(fl *netsim.Flow) {
-				ex.copiers[dst].Submit(job.bytes, "remote-ckpt", func(cp *netsim.Copy) {
-					copied(cp.Bytes)
-					if !ex.pipelined {
-						sendNext()
-					}
-				})
-				if ex.pipelined {
-					sendNext()
-				}
-			})
+			ex.fabric.StartFlow(machine, peers[job.replica%len(peers)], job.bytes, "ckpt-chunk", onSent)
 		}
 		ex.engine.After(0, sendNext)
 	}
