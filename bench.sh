@@ -10,8 +10,11 @@
 # BenchmarkProfileWithJitter) and the control-plane scaling set
 # (BenchmarkLeaseKeepAlive/N, BenchmarkControlPlaneScale/N) whose
 # numbers back the EXPERIMENTS.md overhead, kernel and scaling tables,
-# and the §7.4 data-plane set (BenchmarkExecuteSchemes: all five
-# interleaving schemes through the flow engine and the executor).
+# the §7.4 data-plane set (BenchmarkExecuteSchemes: all five
+# interleaving schemes through the flow engine and the executor), and the
+# cold-derivation set (BenchmarkScenarioCompile/10k and /100k: a cold
+# Parse + Compile of the chaos scenario, derivation cache cleared per op,
+# alongside BenchmarkBuildTimeline and BenchmarkProfileWithJitter).
 #
 # Usage:
 #   ./bench.sh                # full suite, -count=3

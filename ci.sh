@@ -48,11 +48,12 @@ go test -run='^$' -bench='^BenchmarkControlPlaneScale$/^(256|1024)$' -benchtime=
 # Availability-kernel perf gates (outside the race detector): the
 # steady-state Monte-Carlo shard must allocate exactly 0 bytes per trial
 # and the kernel probe itself must stay allocation-free, the 10k-machine
-# placement benchmark must still run, and the profiling loop must stay
-# allocation-flat (comm ops hoisted, labels interned).
+# placement benchmark must still run, the profiling loop must stay
+# allocation-flat (no per-iteration trace copy), and every parallelism's
+# timeline build must allocate a constant (labels interned, none per op).
 go test -run='^TestMonteCarloShardSteadyStateAllocsZero$|^TestSurvivesFailedAllocsZero$' -count=1 ./internal/placement
 go test -run='^$' -bench='^BenchmarkMonteCarloN10000$|^BenchmarkSurvivesFailed$' -benchtime=1x -benchmem ./internal/placement
-go test -run='^TestProfileWithJitterAllocationFlat$|^TestBuildTimelineSteadyStateAllocs$' -count=1 ./internal/training
+go test -run='^TestProfileWithJitterAllocationFlat$|^TestBuildTimelineSteadyStateAllocs$|^TestBuildTimelineForSteadyStateAllocs$' -count=1 ./internal/training
 
 # Observability gates. Disabled tracing and metrics must stay
 # allocation-free (also outside the race detector), and the geminisim
@@ -100,14 +101,16 @@ go test -run='^$' -bench='^BenchmarkCampaign1000$' -benchtime=1x -benchmem .
 BENCH_BASE="$(ls BENCH_*.json | sort | tail -1)"
 go run ./cmd/benchdiff -threshold 0 "$BENCH_BASE" "$BENCH_BASE" > /dev/null
 
-# Scenario-engine gates: both checked-in scenarios must parse and
-# compile, the 1k smoke must reproduce its pinned aggregate hash for
-# seed 7 (any drift in the simulator, the report shape, or the scenario
-# compiler fails here), and the 10k campaign's JSON and HTML reports
-# must be byte-identical at workers=1 vs workers=8. geminisim's
-# -scenario path must run the same campaign.
+# Scenario-engine gates: the checked-in scenarios must parse and compile
+# (the 100k one only that: it exists to size cold derivation), the 1k
+# smoke must reproduce its pinned aggregate hash for seed 7 (any drift in
+# the simulator, the report shape, or the scenario compiler fails here),
+# and the 10k campaign's JSON and HTML reports must be byte-identical at
+# workers=1 vs workers=8. geminisim's -scenario path must run the same
+# campaign.
 go run ./cmd/campaign -validate examples/scenarios/smoke-1k.yaml
 go run ./cmd/campaign -validate examples/scenarios/chaos-10k.yaml
+go run ./cmd/campaign -validate examples/scenarios/chaos-100k.yaml
 CAMP_DIR="$(mktemp -d -t geminicamp.XXXXXX)"
 go run ./cmd/campaign -quiet -json "$CAMP_DIR/smoke.json" -html "$CAMP_DIR/smoke.html" examples/scenarios/smoke-1k.yaml
 grep -q '"hash": "352980d25448928c30d66858cac44f4644e059fff2148565f8e6b55ca9739727"' "$CAMP_DIR/smoke.json"

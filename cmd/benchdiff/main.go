@@ -191,8 +191,8 @@ func main() {
 
 	w := bufio.NewWriter(os.Stdout)
 	defer w.Flush()
-	fmt.Fprintf(w, "%-64s %14s %14s %8s %10s %8s\n",
-		"benchmark", "old ns/op", "new ns/op", "Δns/op", "allocs/op", "Δallocs")
+	fmt.Fprintf(w, "%-64s %14s %14s %8s %12s %8s %10s %8s\n",
+		"benchmark", "old ns/op", "new ns/op", "Δns/op", "B/op", "ΔB", "allocs/op", "Δallocs")
 
 	var regressions []string
 	onlyNew := 0
@@ -201,18 +201,23 @@ func main() {
 		o, ok := old[name]
 		if !ok {
 			onlyNew++
-			fmt.Fprintf(w, "%-64s %14s %14.0f %8s %10.1f %8s\n",
-				trim(name, 64), "-", n.nsPerOp, "new", n.allocsPerOp, "-")
+			fmt.Fprintf(w, "%-64s %14s %14.0f %8s %12.0f %8s %10.1f %8s\n",
+				trim(name, 64), "-", n.nsPerOp, "new", n.bytesPerOp, "-", n.allocsPerOp, "-")
 			continue
 		}
-		allocsNew := "-"
-		allocsDelta := "-"
+		bytesNew, bytesDelta := "-", "-"
+		if o.hasBytes && n.hasBytes {
+			bytesNew = fmt.Sprintf("%.0f", n.bytesPerOp)
+			bytesDelta = fmtDelta(o.bytesPerOp, n.bytesPerOp)
+		}
+		allocsNew, allocsDelta := "-", "-"
 		if o.hasAllocs && n.hasAllocs {
 			allocsNew = fmt.Sprintf("%.1f", n.allocsPerOp)
 			allocsDelta = fmtDelta(o.allocsPerOp, n.allocsPerOp)
 		}
-		fmt.Fprintf(w, "%-64s %14.0f %14.0f %8s %10s %8s\n",
-			trim(name, 64), o.nsPerOp, n.nsPerOp, fmtDelta(o.nsPerOp, n.nsPerOp), allocsNew, allocsDelta)
+		fmt.Fprintf(w, "%-64s %14.0f %14.0f %8s %12s %8s %10s %8s\n",
+			trim(name, 64), o.nsPerOp, n.nsPerOp, fmtDelta(o.nsPerOp, n.nsPerOp),
+			bytesNew, bytesDelta, allocsNew, allocsDelta)
 		regressions = append(regressions, gate(name, o, n, *threshold)...)
 	}
 	dropped := 0

@@ -30,60 +30,75 @@ type IterationTrace struct {
 // the complement of the union of op intervals within [0, Duration].
 // Zero-length gaps are dropped.
 func (it *IterationTrace) IdleSpans() []Span {
-	merged := mergeOps(it.Ops, it.Duration)
-	var spans []Span
-	cursor := simclock.Duration(0)
-	for _, iv := range merged {
-		if iv.start > cursor {
-			spans = append(spans, Span{Offset: cursor, Length: iv.start - cursor})
-		}
-		if iv.end > cursor {
-			cursor = iv.end
-		}
-	}
-	if it.Duration > cursor {
-		spans = append(spans, Span{Offset: cursor, Length: it.Duration - cursor})
-	}
+	spans, _ := idleSpans(nil, it.intervals(), it.Duration)
 	return spans
 }
 
 // BusyTime returns the total time the network is occupied in the trace.
 func (it *IterationTrace) BusyTime() simclock.Duration {
-	var busy simclock.Duration
-	for _, iv := range mergeOps(it.Ops, it.Duration) {
-		busy += iv.end - iv.start
-	}
+	_, busy := idleSpans(nil, it.intervals(), it.Duration)
 	return busy
 }
 
+// intervals returns the trace's op intervals in start order.
+func (it *IterationTrace) intervals() []interval {
+	ivs := make([]interval, len(it.Ops))
+	for i, op := range it.Ops {
+		ivs[i] = interval{op.Start, op.End}
+	}
+	sortByStart(ivs)
+	return ivs
+}
+
+// interval is an op without its label: all the idle-span pass reads.
 type interval struct{ start, end simclock.Duration }
 
-func mergeOps(ops []Op, limit simclock.Duration) []interval {
-	ivs := make([]interval, 0, len(ops))
-	for _, op := range ops {
-		s, e := op.Start, op.End
+func sortByStart(ivs []interval) {
+	sort.Slice(ivs, func(i, j int) bool { return ivs[i].start < ivs[j].start })
+}
+
+// idleSpans is the package's one idle-span derivation: a single pass over
+// intervals sorted by start that clamps each to [0, limit], drops empty
+// ones, merges overlapping and touching ones, and appends the gaps
+// between the merged intervals to dst. It also returns the busy time, the
+// summed length of the merged intervals. The union of the intervals does
+// not depend on how equal starts are ordered, so neither do the spans nor
+// the busy time.
+func idleSpans(dst []Span, ivs []interval, limit simclock.Duration) ([]Span, simclock.Duration) {
+	var busy, lo, hi simclock.Duration // hi: end of the covered prefix
+	open := false
+	for _, iv := range ivs {
+		s, e := iv.start, iv.end
 		if e > limit {
 			e = limit
 		}
 		if s < 0 {
 			s = 0
 		}
-		if e > s {
-			ivs = append(ivs, interval{s, e})
+		if e <= s {
+			continue
 		}
-	}
-	sort.Slice(ivs, func(i, j int) bool { return ivs[i].start < ivs[j].start })
-	var merged []interval
-	for _, iv := range ivs {
-		if n := len(merged); n > 0 && iv.start <= merged[n-1].end {
-			if iv.end > merged[n-1].end {
-				merged[n-1].end = iv.end
+		if open && s <= hi {
+			if e > hi {
+				hi = e
 			}
 			continue
 		}
-		merged = append(merged, iv)
+		if open {
+			busy += hi - lo
+		}
+		if s > hi {
+			dst = append(dst, Span{Offset: hi, Length: s - hi})
+		}
+		lo, hi, open = s, e, true
 	}
-	return merged
+	if open {
+		busy += hi - lo
+	}
+	if limit > hi {
+		dst = append(dst, Span{Offset: hi, Length: limit - hi})
+	}
+	return dst, busy
 }
 
 // Span is one network idle timespan within an iteration.
@@ -121,14 +136,43 @@ func (p *Profile) TotalIdle() simclock.Duration {
 	return total
 }
 
-// Recorder accumulates iteration traces during the profiling window.
+// Recorder accumulates the profiling window. It keeps no per-iteration
+// trace: EndIteration turns the iteration's ops into idle spans and folds
+// them into running sums kept per span count (shape), so memory is one
+// reused ops buffer plus the sums, whatever the window.
 type Recorder struct {
-	window int
-	traces []IterationTrace
+	window   int
+	recorded int
+	shapes   []shape // in first-seen order; a stable timeline has one
 
 	iterStart simclock.Time
-	ops       []Op
+	ops       []interval // the open iteration's ops, relative to iterStart
+	unordered bool       // an op of the open iteration started before its predecessor
+	spans     []Span     // EndIteration's idle-span scratch
 	inIter    bool
+}
+
+// shape holds the running sums of every recorded iteration with one idle
+// span count. Iterations are added in record order, so the modal shape's
+// sums are exactly those a per-iteration loop over the kept traces would
+// produce: iterations of other shapes never touch them.
+type shape struct {
+	spans   int // idle spans per iteration
+	n       int // iterations of this shape
+	iterSum simclock.Duration
+	// offsets, lengths and sq sum each span's offset, length and squared
+	// length, in seconds.
+	offsets, lengths, sq []float64
+}
+
+func (sh *shape) add(dur simclock.Duration, spans []Span) {
+	sh.n++
+	sh.iterSum += dur
+	for i, s := range spans {
+		sh.offsets[i] += s.Offset.Seconds()
+		sh.lengths[i] += s.Length.Seconds()
+		sh.sq[i] += s.Length.Seconds() * s.Length.Seconds()
+	}
 }
 
 // NewRecorder profiles up to window iterations; further iterations are
@@ -137,7 +181,7 @@ func NewRecorder(window int) (*Recorder, error) {
 	if window <= 0 {
 		return nil, fmt.Errorf("profile: window must be positive, got %d", window)
 	}
-	return &Recorder{window: window, traces: make([]IterationTrace, 0, window)}, nil
+	return &Recorder{window: window}, nil
 }
 
 // MustNewRecorder is NewRecorder for known-good windows.
@@ -150,10 +194,10 @@ func MustNewRecorder(window int) *Recorder {
 }
 
 // Done reports whether the profiling window is full.
-func (r *Recorder) Done() bool { return len(r.traces) >= r.window }
+func (r *Recorder) Done() bool { return r.recorded >= r.window }
 
 // Iterations returns how many complete iterations have been recorded.
-func (r *Recorder) Iterations() int { return len(r.traces) }
+func (r *Recorder) Iterations() int { return r.recorded }
 
 // BeginIteration marks an iteration start at absolute time t.
 func (r *Recorder) BeginIteration(t simclock.Time) {
@@ -163,9 +207,11 @@ func (r *Recorder) BeginIteration(t simclock.Time) {
 	r.inIter = true
 	r.iterStart = t
 	r.ops = r.ops[:0]
+	r.unordered = false
 }
 
-// RecordOp logs a communication op by absolute start/end times.
+// RecordOp logs a communication op by absolute start/end times. The label
+// only names the op in the panic for a backwards interval.
 func (r *Recorder) RecordOp(start, end simclock.Time, label string) {
 	if !r.inIter {
 		panic("profile: RecordOp outside an iteration")
@@ -173,14 +219,17 @@ func (r *Recorder) RecordOp(start, end simclock.Time, label string) {
 	if end < start {
 		panic(fmt.Sprintf("profile: op %q ends %v before it starts %v", label, end, start))
 	}
-	r.ops = append(r.ops, Op{
-		Start: start.Sub(r.iterStart),
-		End:   end.Sub(r.iterStart),
-		Label: label,
-	})
+	iv := interval{start.Sub(r.iterStart), end.Sub(r.iterStart)}
+	if n := len(r.ops); n > 0 && iv.start < r.ops[n-1].start {
+		r.unordered = true
+	}
+	r.ops = append(r.ops, iv)
 }
 
-// EndIteration closes the current iteration at absolute time t.
+// EndIteration closes the current iteration at absolute time t and folds
+// its idle spans into the running sums. Ops recorded out of start order
+// (completion order, as ProfileFromExecution observes them) are sorted
+// first; start-ordered ops take the single linear pass.
 func (r *Recorder) EndIteration(t simclock.Time) {
 	if !r.inIter {
 		panic("profile: EndIteration without BeginIteration")
@@ -189,80 +238,64 @@ func (r *Recorder) EndIteration(t simclock.Time) {
 	if r.Done() {
 		return
 	}
-	r.traces = append(r.traces, IterationTrace{
-		Duration: t.Sub(r.iterStart),
-		Ops:      append([]Op(nil), r.ops...),
-	})
+	r.recorded++
+	if r.unordered {
+		sortByStart(r.ops)
+	}
+	dur := t.Sub(r.iterStart)
+	r.spans, _ = idleSpans(r.spans[:0], r.ops, dur)
+	r.shapeFor(len(r.spans)).add(dur, r.spans)
 }
 
-// Build averages the recorded traces into a Profile. It requires at least
-// one complete iteration. Iterations are assumed to share the same
+// shapeFor returns the sums for iterations with count idle spans,
+// creating them on first sight.
+func (r *Recorder) shapeFor(count int) *shape {
+	for i := range r.shapes {
+		if r.shapes[i].spans == count {
+			return &r.shapes[i]
+		}
+	}
+	r.shapes = append(r.shapes, shape{
+		spans:   count,
+		offsets: make([]float64, count),
+		lengths: make([]float64, count),
+		sq:      make([]float64, count),
+	})
+	return &r.shapes[len(r.shapes)-1]
+}
+
+// Build averages the recorded iterations into a Profile. It requires at
+// least one complete iteration. Iterations are assumed to share the same
 // communication shape (§5.4 observes the timeline is nearly constant);
 // spans are matched by index, and iterations with a differing span count
-// from the majority are discarded as outliers.
+// from the majority are discarded as outliers (on a tie, the larger span
+// count wins).
 func (r *Recorder) Build() (*Profile, error) {
-	if len(r.traces) == 0 {
+	if r.recorded == 0 {
 		return nil, fmt.Errorf("profile: no complete iterations recorded")
 	}
-	// Derive each trace's idle spans once (IdleSpans sorts and merges per
-	// call — computing it three times per trace dominated Build).
-	spans := make([][]Span, len(r.traces))
-	for i := range r.traces {
-		spans[i] = r.traces[i].IdleSpans()
-	}
-	// Find the modal span count.
-	counts := make(map[int]int)
-	for i := range spans {
-		counts[len(spans[i])]++
-	}
-	modal, best := 0, 0
-	for c, n := range counts {
-		if n > best || (n == best && c > modal) {
-			modal, best = c, n
+	var m *shape
+	for i := range r.shapes {
+		sh := &r.shapes[i]
+		if m == nil || sh.n > m.n || (sh.n == m.n && sh.spans > m.spans) {
+			m = sh
 		}
 	}
-	used := 0
-	for i := range spans {
-		if len(spans[i]) == modal {
-			used++
-		}
-	}
-	prof := &Profile{Iterations: used, Discarded: len(r.traces) - used}
-	if modal == 0 {
-		var iterSum simclock.Duration
-		for i, tr := range r.traces {
-			if len(spans[i]) == modal {
-				iterSum += tr.Duration
-			}
-		}
-		prof.IterationTime = iterSum / simclock.Duration(used)
+	prof := &Profile{Iterations: m.n, Discarded: r.recorded - m.n}
+	n := float64(m.n)
+	prof.IterationTime = m.iterSum / simclock.Duration(n)
+	if m.spans == 0 {
 		return prof, nil
 	}
-	offsets := make([]float64, modal)
-	lengths := make([]float64, modal)
-	sq := make([]float64, modal)
-	var iterSum simclock.Duration
-	for ti, tr := range r.traces {
-		if len(spans[ti]) != modal {
-			continue
-		}
-		iterSum += tr.Duration
-		for i, s := range spans[ti] {
-			offsets[i] += s.Offset.Seconds()
-			lengths[i] += s.Length.Seconds()
-			sq[i] += s.Length.Seconds() * s.Length.Seconds()
-		}
-	}
-	n := float64(used)
-	prof.IterationTime = iterSum / simclock.Duration(n)
-	for i := 0; i < modal; i++ {
-		mean := lengths[i] / n
-		prof.Spans = append(prof.Spans, Span{
-			Offset: simclock.Duration(offsets[i] / n),
+	prof.Spans = make([]Span, m.spans)
+	for i := range prof.Spans {
+		mean := m.lengths[i] / n
+		prof.Spans[i] = Span{
+			Offset: simclock.Duration(m.offsets[i] / n),
 			Length: simclock.Duration(mean),
-		})
+		}
 		if mean > 0 && n > 1 {
-			variance := math.Max(0, sq[i]/n-mean*mean)
+			variance := math.Max(0, m.sq[i]/n-mean*mean)
 			if cv := math.Sqrt(variance) / mean; cv > prof.NormalizedStdDev {
 				prof.NormalizedStdDev = cv
 			}

@@ -75,22 +75,24 @@ func buildDataParallelTimeline(cfg Config) (*Timeline, error) {
 	fwd := simclock.Duration(2 * float64(m.NominalParams) / float64(L) * tokens / gpuRate)
 	bwd := 2 * fwd // no recomputation: replicas hold activations
 
-	tl := &Timeline{Config: cfg}
+	// L forward computes, L backward computes, L all-reduces, 1 update.
+	tl := &Timeline{Config: cfg, Ops: make([]TimedOp, 0, 3*L+1)}
+	labels := labelsFor(L)
 	var compFree, commFree simclock.Duration
 	for l := 0; l < L; l++ {
 		tl.Ops = append(tl.Ops, TimedOp{Kind: OpCompute, Start: compFree, End: compFree + fwd,
-			Label: fmt.Sprintf("fwd%d", l)})
+			Label: labels[l].fwd})
 		compFree += fwd
 	}
 	for l := L - 1; l >= 0; l-- {
 		tl.Ops = append(tl.Ops, TimedOp{Kind: OpCompute, Start: compFree, End: compFree + bwd,
-			Label: fmt.Sprintf("bwd%d", l)})
+			Label: labels[l].bwd})
 		compFree += bwd
 		// The layer's gradient bucket all-reduces as soon as its backward
 		// completes, on the in-order comm stream.
 		start := maxDur(commFree, compFree)
 		tl.Ops = append(tl.Ops, TimedOp{Kind: OpReduceScatter, Start: start, End: start + arTime,
-			Label: fmt.Sprintf("ar-bwd%d", l), Bytes: layerBytes})
+			Label: labels[l].arBwd, Bytes: layerBytes})
 		commFree = start + arTime
 	}
 	updStart := maxDur(compFree, commFree)
@@ -103,7 +105,9 @@ func buildDataParallelTimeline(cfg Config) (*Timeline, error) {
 // buildPipelineTimeline approximates GPipe-style pipelining with
 // 4·stages microbatches: each stage computes its layer slice per
 // microbatch and exchanges small activation boundaries with neighbors.
-// The timeline is the steady-state view of one interior stage.
+// The timeline is the steady-state view of one interior stage. Its
+// 3·micro slot ops carry one constant label per kind: at 4·stages
+// microbatches a per-slot label would cost three strings per machine.
 func buildPipelineTimeline(cfg Config) (*Timeline, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -123,7 +127,8 @@ func buildPipelineTimeline(cfg Config) (*Timeline, error) {
 	boundaryBytes := float64(m.MicroBatch) / float64(micro) * float64(m.SeqLen) * float64(m.HiddenSize) * 2
 	sendTime := netsim.TransferTime(boundaryBytes, cfg.Instance.NetworkBytesPerSec, cfg.Calib.CollectiveAlpha)
 
-	tl := &Timeline{Config: cfg}
+	// Three ops per microbatch slot, then the update.
+	tl := &Timeline{Config: cfg, Ops: make([]TimedOp, 0, 3*micro+1)}
 	var t simclock.Duration
 	// Warmup bubble: the stage idles while the pipeline fills.
 	t += simclock.Duration(stages-1) * (stageFwd + sendTime)
@@ -131,13 +136,13 @@ func buildPipelineTimeline(cfg Config) (*Timeline, error) {
 	// two boundary transfers.
 	for i := 0; i < micro; i++ {
 		tl.Ops = append(tl.Ops, TimedOp{Kind: OpAllGather, Start: t, End: t + sendTime,
-			Label: fmt.Sprintf("recv-act%d", i), Bytes: boundaryBytes})
+			Label: "recv-act", Bytes: boundaryBytes})
 		t += sendTime
 		tl.Ops = append(tl.Ops, TimedOp{Kind: OpCompute, Start: t, End: t + stageFwd + stageBwd,
-			Label: fmt.Sprintf("stage%d", i)})
+			Label: "stage"})
 		t += stageFwd + stageBwd
 		tl.Ops = append(tl.Ops, TimedOp{Kind: OpReduceScatter, Start: t, End: t + sendTime,
-			Label: fmt.Sprintf("send-grad%d", i), Bytes: boundaryBytes})
+			Label: "send-grad", Bytes: boundaryBytes})
 		t += sendTime
 	}
 	// Drain bubble, then the optimizer update.

@@ -39,6 +39,9 @@ func (k OpKind) String() string {
 	}
 }
 
+// isComm reports whether ops of this kind occupy the network.
+func (k OpKind) isComm() bool { return k == OpAllGather || k == OpReduceScatter }
+
 // TimedOp is one operation in the per-iteration timeline, with times
 // relative to iteration start.
 type TimedOp struct {
@@ -68,11 +71,11 @@ const prefetchDepth = 2
 // layerLabels holds the interned label strings for one layer's timeline
 // ops. Labels depend only on the layer index, never on the config, so
 // they are built once per distinct layer depth and shared by every
-// timeline — repeated BuildTimeline calls (config sweeps, placement
-// tables, stress campaigns) allocate no label strings.
+// timeline — repeated ZeRO-3 and data-parallel builds (config sweeps,
+// placement tables, stress campaigns) allocate no label strings.
 type layerLabels struct {
-	fwd, agFwd          string
-	bwd, agBwd, rsLabel string
+	fwd, agFwd                 string
+	bwd, agBwd, rsLabel, arBwd string
 }
 
 var (
@@ -90,7 +93,7 @@ func labelsFor(layers int) []layerLabels {
 		n := strconv.Itoa(l)
 		labelCache = append(labelCache, layerLabels{
 			fwd: "fwd" + n, agFwd: "ag-fwd" + n,
-			bwd: "bwd" + n, agBwd: "ag-bwd" + n, rsLabel: "rs-bwd" + n,
+			bwd: "bwd" + n, agBwd: "ag-bwd" + n, rsLabel: "rs-bwd" + n, arBwd: "ar-bwd" + n,
 		})
 	}
 	return labelCache[:layers:layers]
@@ -225,18 +228,18 @@ func maxDur(a, b simclock.Duration) simclock.Duration {
 }
 
 // CommOps returns the network operations of the timeline, in start order.
-// It builds a fresh slice per call; loops over many iterations should
-// call it once and reuse the result (ProfileWithJitter does).
+// It builds a fresh slice per call; hot loops filter tl.Ops by kind
+// instead (ProfileWithJitter does).
 func (tl *Timeline) CommOps() []TimedOp {
 	n := 0
 	for _, op := range tl.Ops {
-		if op.Kind == OpAllGather || op.Kind == OpReduceScatter {
+		if op.Kind.isComm() {
 			n++
 		}
 	}
 	out := make([]TimedOp, 0, n)
 	for _, op := range tl.Ops {
-		if op.Kind == OpAllGather || op.Kind == OpReduceScatter {
+		if op.Kind.isComm() {
 			out = append(out, op)
 		}
 	}
@@ -278,28 +281,37 @@ func (tl *Timeline) ProfileWithJitter(window int, frac float64, seed int64) (*pr
 		return nil, err
 	}
 	rng := newJitterSource(seed)
-	// The timeline's op list is immutable: derive the comm ops once for
-	// the whole window instead of rebuilding the slice every iteration.
-	comm := tl.CommOps()
 	var t simclock.Time
 	for i := 0; i < window; i++ {
 		// One stretch factor per iteration: the timeline's shape is
-		// stable, only its pace varies (§5.4's observation).
+		// stable, only its pace varies (§5.4's observation). Without
+		// jitter the factor is exactly 1 and the multiply is skipped
+		// (x*1 == x, so the result is the same); the comm ops are read
+		// in place from the immutable op list.
 		stretch := 1.0
 		if frac > 0 {
 			stretch = 1 + frac*(2*rng.next()-1)
 		}
 		rec.BeginIteration(t)
 		var end simclock.Duration
-		for _, op := range comm {
-			s := simclock.Duration(float64(op.Start) * stretch)
-			e := simclock.Duration(float64(op.End) * stretch)
+		for _, op := range tl.Ops {
+			if !op.Kind.isComm() {
+				continue
+			}
+			s, e := op.Start, op.End
+			if frac > 0 {
+				s = simclock.Duration(float64(s) * stretch)
+				e = simclock.Duration(float64(e) * stretch)
+			}
 			rec.RecordOp(t.Add(s), t.Add(e), op.Label)
 			if e > end {
 				end = e
 			}
 		}
-		iterLen := simclock.Duration(float64(tl.Iteration) * stretch)
+		iterLen := tl.Iteration
+		if frac > 0 {
+			iterLen = simclock.Duration(float64(iterLen) * stretch)
+		}
 		if iterLen < end {
 			iterLen = end
 		}
