@@ -14,7 +14,9 @@
 # interleaving schemes through the flow engine and the executor), and the
 # cold-derivation set (BenchmarkScenarioCompile/10k and /100k: a cold
 # Parse + Compile of the chaos scenario, derivation cache cleared per op,
-# alongside BenchmarkBuildTimeline and BenchmarkProfileWithJitter).
+# alongside BenchmarkBuildTimeline and BenchmarkProfileWithJitter), and
+# the campaign fan-out (BenchmarkRunCampaign: 256 chaos-10k variations
+# with aggregation and run records, compiled outside the timer).
 #
 # Usage:
 #   ./bench.sh                # full suite, -count=3

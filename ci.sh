@@ -97,6 +97,16 @@ fi
 # threshold 0 (the derivation-cache race hammer already ran above,
 # inside `go test -race ./...`).
 go test -run='^TestNewJobWarmKeyAllocs$' -count=1 ./internal/core
+
+# Campaign fan-out gates (outside the race detector): a warm aggregated,
+# run-recording campaign must allocate the same per variation at 256 and
+# 1024 variations (its run registries and schedule buffers are recycled
+# window slots, not per-variation garbage), and a failure-schedule draw
+# must allocate only its output slice. A short fuzz smoke holds the
+# schedule merge to its sort.Slice oracle.
+go test -run='^TestRunCampaignWarmAllocs$' -count=1 ./internal/scenario
+go test -run='^TestGenerateAllocs$' -count=1 ./internal/failure
+go test -run='^$' -fuzz='^FuzzMerge$' -fuzztime=5s ./internal/failure
 go test -run='^$' -bench='^BenchmarkCampaign1000$' -benchtime=1x -benchmem .
 BENCH_BASE="$(ls BENCH_*.json | sort | tail -1)"
 go run ./cmd/benchdiff -threshold 0 "$BENCH_BASE" "$BENCH_BASE" > /dev/null

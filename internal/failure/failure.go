@@ -7,10 +7,12 @@
 package failure
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
+	"sync"
 
 	"gemini/internal/cluster"
 	"gemini/internal/simclock"
@@ -89,37 +91,56 @@ func (m Model) ClusterFailuresPerDay(machines int) float64 {
 	return m.PerInstancePerDay * float64(machines)
 }
 
+// rngPool recycles generators across Generate calls. Re-seeding a
+// math/rand generator restores exactly the state rand.NewSource(seed)
+// starts from, so a pooled generator draws the same stream as a fresh
+// one without allocating its ~5 KB source per schedule.
+var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(1)) }}
+
 // Generate draws a Poisson failure schedule over [0, horizon) for a
 // cluster of n machines. The schedule is deterministic for a fixed seed.
 func (m Model) Generate(n int, horizon simclock.Duration, seed int64) (Schedule, error) {
+	return m.AppendGenerate(nil, n, horizon, seed)
+}
+
+// AppendGenerate is Generate appending to dst: the drawn events follow
+// dst's existing contents, and a dst with room for them is reused
+// instead of allocating. On error dst is returned unchanged.
+func (m Model) AppendGenerate(dst Schedule, n int, horizon simclock.Duration, seed int64) (Schedule, error) {
 	if err := m.Validate(); err != nil {
-		return nil, err
+		return dst, err
 	}
 	if n <= 0 {
-		return nil, fmt.Errorf("failure: need at least one machine, got %d", n)
+		return dst, fmt.Errorf("failure: need at least one machine, got %d", n)
 	}
 	if horizon < 0 {
-		return nil, fmt.Errorf("failure: negative horizon %v", horizon)
+		return dst, fmt.Errorf("failure: negative horizon %v", horizon)
 	}
 	rate := m.ClusterFailuresPerDay(n) / simclock.Day.Seconds() // events per second
-	rng := rand.New(rand.NewSource(seed))
-	var out Schedule
-	if rate > 0 {
-		t := simclock.Time(0)
-		for {
-			// Exponential inter-arrival times.
-			t = t.Add(simclock.Duration(rng.ExpFloat64() / rate))
-			if t >= simclock.Time(horizon) {
-				break
-			}
-			kind := cluster.SoftwareFailed
-			if rng.Float64() < m.HardwareFraction {
-				kind = cluster.HardwareFailed
-			}
-			out = append(out, Event{At: t, Rank: rng.Intn(n), Kind: kind})
-		}
+	if rate <= 0 || horizon == 0 {
+		return dst, nil
 	}
-	return out, nil
+	// Size the output for the Poisson mean plus four standard
+	// deviations, so a draw almost never outgrows it.
+	mean := rate * horizon.Seconds()
+	dst = slices.Grow(dst, int(mean+4*math.Sqrt(mean)+4))
+	rng := rngPool.Get().(*rand.Rand)
+	rng.Seed(seed)
+	t := simclock.Time(0)
+	for {
+		// Exponential inter-arrival times.
+		t = t.Add(simclock.Duration(rng.ExpFloat64() / rate))
+		if t >= simclock.Time(horizon) {
+			break
+		}
+		kind := cluster.SoftwareFailed
+		if rng.Float64() < m.HardwareFraction {
+			kind = cluster.HardwareFailed
+		}
+		dst = append(dst, Event{At: t, Rank: rng.Intn(n), Kind: kind})
+	}
+	rngPool.Put(rng)
+	return dst, nil
 }
 
 // FixedRate builds a deterministic schedule with exactly failuresPerDay
@@ -254,19 +275,27 @@ func (m Model) ExpectedSimultaneousProbability(machines int, repairWindow simclo
 // HardwareFailed wins — a machine that lost its hardware is down
 // regardless of what its software did at the same moment.
 func Merge(schedules ...Schedule) Schedule {
-	var out Schedule
+	return AppendMerge(nil, schedules...)
+}
+
+// AppendMerge is Merge appending to dst: the merged schedule follows
+// dst's existing contents (which it leaves alone), and a dst with room
+// for every input event is reused instead of allocating.
+func AppendMerge(dst Schedule, schedules ...Schedule) Schedule {
+	total := 0
 	for _, s := range schedules {
-		out = append(out, s...)
+		total += len(s)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].At != out[j].At {
-			return out[i].At < out[j].At
-		}
-		if out[i].Rank != out[j].Rank {
-			return out[i].Rank < out[j].Rank
-		}
-		return out[i].Kind < out[j].Kind
-	})
+	start := len(dst)
+	dst = slices.Grow(dst, total)
+	for _, s := range schedules {
+		dst = append(dst, s...)
+	}
+	// compareEvents is a total order over every field of an Event, so
+	// events it ranks equal are identical and the unstable sort yields
+	// the same sequence as any stable one.
+	out := dst[start:]
+	slices.SortFunc(out, compareEvents)
 	dedup := out[:0]
 	for _, ev := range out {
 		if n := len(dedup); n > 0 && dedup[n-1].At == ev.At && dedup[n-1].Rank == ev.Rank {
@@ -277,5 +306,15 @@ func Merge(schedules ...Schedule) Schedule {
 		}
 		dedup = append(dedup, ev)
 	}
-	return dedup
+	return dst[:start+len(dedup)]
+}
+
+func compareEvents(a, b Event) int {
+	if c := cmp.Compare(a.At, b.At); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Rank, b.Rank); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Kind, b.Kind)
 }

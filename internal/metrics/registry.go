@@ -234,19 +234,31 @@ type instrument struct {
 	h    *Histogram
 }
 
-// Registry holds named instruments in registration order.
+// Registry holds named instruments in registration order. Lookups scan
+// order linearly: every registry the simulator builds holds about a
+// dozen instruments, where a scan beats hashing the name and costs no
+// map to allocate or rebuild.
 type Registry struct {
 	order []instrument
-	index map[string]int
 }
 
 // NewRegistry creates an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{index: make(map[string]int)}
+	return &Registry{order: make([]instrument, 0, 16)}
+}
+
+// find returns the position of the named instrument in order, or -1.
+func (r *Registry) find(name string) int {
+	for i := range r.order {
+		if r.order[i].name == name {
+			return i
+		}
+	}
+	return -1
 }
 
 func (r *Registry) lookup(name string, kind instrumentKind) (instrument, bool) {
-	if i, ok := r.index[name]; ok {
+	if i := r.find(name); i >= 0 {
 		in := r.order[i]
 		if in.kind != kind {
 			panic(fmt.Sprintf("metrics: %q already registered with a different type", name))
@@ -257,8 +269,29 @@ func (r *Registry) lookup(name string, kind instrumentKind) (instrument, bool) {
 }
 
 func (r *Registry) add(in instrument) {
-	r.index[in.name] = len(r.order)
 	r.order = append(r.order, in)
+}
+
+// Reset zeroes every instrument's value and keeps the instruments
+// themselves: names, kinds, registration order and the pointers already
+// handed out. A reset registry that then sees the same registrations
+// and updates as a fresh one renders identically to it, so a run loop
+// that registers a fixed instrument set can reuse one registry per
+// run instead of allocating it. Nil no-ops.
+func (r *Registry) Reset() {
+	if r == nil {
+		return
+	}
+	for _, in := range r.order {
+		switch in.kind {
+		case kindCounter:
+			*in.c = CounterVar{}
+		case kindGauge:
+			*in.g = Gauge{}
+		case kindHistogram:
+			*in.h = Histogram{}
+		}
+	}
 }
 
 // Counter returns the named counter, registering it on first use.

@@ -427,3 +427,59 @@ func TestRegistryMergeKindClashPanics(t *testing.T) {
 	}()
 	dst.Merge(src)
 }
+
+// A reset registry that sees the same registrations and updates as a
+// fresh one renders identically to it — Snapshot, WriteProm, and as a
+// merge source — and keeps no value from before the reset, while the
+// instruments it handed out stay live.
+func TestRegistryReset(t *testing.T) {
+	fill := func(r *Registry, k float64) {
+		r.Counter("run.failures").Add(3 * k)
+		r.Gauge("run.level").Set(k)
+		h := r.Histogram("run.wasted_seconds")
+		for i := 0; i < int(k)+1; i++ {
+			h.Observe(k * float64(i+1))
+		}
+		h.Observe(math.NaN())
+		r.Histogram("run.effective_ratio").Observe(0.5 + k/100)
+	}
+	render := func(r *Registry) string {
+		var b strings.Builder
+		if err := WriteProm(&b, r); err != nil {
+			t.Fatal(err)
+		}
+		agg := NewRegistry()
+		agg.Merge(r)
+		if err := WriteProm(&b, agg); err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range r.Snapshot() {
+			b.WriteString(c.Name)
+		}
+		return b.String()
+	}
+
+	reused := NewRegistry()
+	fill(reused, 7)
+	early := reused.Counter("run.failures")
+	reused.Reset()
+	for _, c := range reused.Snapshot() {
+		if c.Value != 0 {
+			t.Fatalf("after Reset %s = %v, want 0", c.Name, c.Value)
+		}
+	}
+	if h := reused.Histogram("run.wasted_seconds"); h.NaNs() != 0 || h.Count() != 0 {
+		t.Fatalf("Reset kept histogram state: count %d, NaNs %d", h.Count(), h.NaNs())
+	}
+	fill(reused, 2)
+	fresh := NewRegistry()
+	fill(fresh, 2)
+	if got, want := render(reused), render(fresh); got != want {
+		t.Fatalf("reset registry renders differently from a fresh one:\n%s\nvs\n%s", got, want)
+	}
+	if early.Value() != 6 {
+		t.Fatalf("instrument handed out before Reset reads %v, want 6", early.Value())
+	}
+	var nilR *Registry
+	nilR.Reset()
+}

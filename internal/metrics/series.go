@@ -141,7 +141,7 @@ func (r *Recorder) Watch(names ...string) {
 			}
 		}
 		col := column{s: NewSeries(name, r.cap)}
-		if i, ok := r.reg.index[name]; ok {
+		if i := r.reg.find(name); i >= 0 {
 			switch in := r.reg.order[i]; in.kind {
 			case kindCounter:
 				col.c = in.c

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"context"
 	"os"
 	"testing"
 
@@ -34,5 +35,32 @@ func BenchmarkScenarioCompile(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkRunCampaign measures the campaign fan-out alone: 256
+// variations of the chaos-10k scenario with aggregation and run records
+// on, compiled once outside the timer (the derivation cache stays warm,
+// as it does across a real campaign's variations).
+func BenchmarkRunCampaign(b *testing.B) {
+	data, err := os.ReadFile("../../examples/scenarios/chaos-10k.yaml")
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := Parse(data)
+	if err != nil {
+		b.Fatal(err)
+	}
+	c, err := s.Compile()
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := CampaignOptions{Variations: 256, Aggregate: true, RecordRuns: true}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := RunCampaign(context.Background(), c, opts); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

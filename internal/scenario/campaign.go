@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"sync"
 
 	"gemini/internal/metrics"
 	"gemini/internal/obs"
@@ -28,7 +29,7 @@ type CampaignOptions struct {
 	// nothing; the sink is updated from worker goroutines.
 	Progress *obs.Progress
 	// Aggregate collects each (variation, spec) run's health registry
-	// and merges them — post-barrier, in variation order — into
+	// and merges them — window by window, in variation order — into
 	// per-solution and campaign-wide rollups (Report.Aggregates, plus
 	// the live registries behind Report.WriteAggregatedProm). Off by
 	// default: the extra fields would change the report bytes existing
@@ -83,8 +84,8 @@ type Report struct {
 
 // AggregateReport is the cross-run metric rollup: one table for the
 // whole campaign and one per solution. Tables render every merged
-// instrument in registration order — deterministic because the merge
-// happens post-barrier in variation order.
+// instrument in registration order — deterministic because each
+// window's runs merge after its barrier, in variation order.
 type AggregateReport struct {
 	Campaign []AggregateRow  `json:"campaign"`
 	Specs    []SpecAggregate `json:"specs"`
@@ -185,23 +186,60 @@ func toStats(s metrics.Summary) Stats {
 	return Stats{Mean: s.Mean, Min: s.Min, Max: s.Max, P50: s.P50, P90: s.P90, P99: s.P99, StdDev: s.StdDev}
 }
 
-// variationResult is one variation's per-spec outcomes, in spec order.
-type variationResult struct {
-	ratio  []float64
-	wasted []simclock.Duration
-	fails  []int
-	local  []int
-	peer   []int
-	remote []int
-	// records and regs are populated only under RecordRuns/Aggregate.
-	records []RunRecord
-	regs    []*metrics.Registry
+// campaignWindow is how many variations run between two rollup merges.
+// It bounds a campaign's live run registries to campaignWindow per spec
+// at any variation count, and is wide enough that the barrier closing
+// each window leaves workers idle for a small share of it.
+const campaignWindow = 64
+
+// runOutcome is one (variation, spec) run's scalar outcome.
+type runOutcome struct {
+	ratio                      float64
+	wasted                     simclock.Duration
+	fails, local, peer, remote int
+}
+
+// windowSlot is the per-run state one window position reuses from
+// window to window: its schedule backings and, when the campaign
+// collects metrics, one registry per spec.
+type windowSlot struct {
+	sched scheduleBuf
+	regs  []*metrics.Registry
+}
+
+// slotPool carries window slots from one RunCampaign call to the next,
+// so a warm campaign allocates no registries or schedule backings at
+// all. Every registry is Reset before each run and every backing is
+// truncated before each build, so what a slot held before never shows.
+var slotPool sync.Pool // of *[]windowSlot
+
+// getSlots returns n window slots, each with nregs registries.
+func getSlots(n, nregs int) *[]windowSlot {
+	sp, _ := slotPool.Get().(*[]windowSlot)
+	if sp == nil {
+		sp = new([]windowSlot)
+	}
+	if len(*sp) < n {
+		*sp = append(*sp, make([]windowSlot, n-len(*sp))...)
+	}
+	for i := range *sp {
+		sl := &(*sp)[i]
+		for len(sl.regs) < nregs {
+			sl.regs = append(sl.regs, metrics.NewRegistry())
+		}
+	}
+	return sp
 }
 
 // RunCampaign expands the compiled scenario into its seeded variations,
 // fans them across workers, and aggregates. Variation v uses failure
 // seed Seed+v; results are collected into slot v and reduced in
 // variation order, so the report does not depend on the worker count.
+//
+// Variations run in consecutive windows of campaignWindow. After each
+// window's barrier its run registries merge into the rollups in
+// (variation, spec) order, and the window's slots are reused by the
+// next one.
 func RunCampaign(ctx context.Context, c *Compiled, opts CampaignOptions) (*Report, error) {
 	s := c.Scenario
 	variations := s.Variations
@@ -213,42 +251,53 @@ func RunCampaign(ctx context.Context, c *Compiled, opts CampaignOptions) (*Repor
 		return nil, fmt.Errorf("scenario: no specs to run")
 	}
 
-	collectRegs := opts.Aggregate || opts.Live != nil
+	nregs := 0
+	if opts.Aggregate || opts.Live != nil {
+		nregs = nspecs
+	}
 	simPerRun := s.Horizon.Seconds() * float64(nspecs)
 	opts.Progress.Begin(variations, simPerRun)
 
-	slots := make([]variationResult, variations)
+	// Outcomes and records are flat, indexed v*nspecs+si.
+	outcomes := make([]runOutcome, variations*nspecs)
+	var runs []RunRecord
+	if opts.RecordRuns {
+		runs = make([]RunRecord, variations*nspecs)
+	}
+	var agg *metrics.Registry
+	var specAggs []*metrics.Registry
+	if opts.Aggregate {
+		agg = metrics.NewRegistry()
+		specAggs = make([]*metrics.Registry, nspecs)
+		for si := range specAggs {
+			specAggs[si] = metrics.NewRegistry()
+		}
+	}
+	sp := getSlots(min(variations, campaignWindow), nregs)
+	defer slotPool.Put(sp)
+	slots := *sp
+
+	// lo is the current window's first variation. It only changes
+	// between windows, after the barrier.
+	var lo int
 	hooks := parallel.RunHooks{}
 	if opts.Progress != nil {
 		hooks.Started = func(int) { opts.Progress.RunStarted() }
-		// Done fires after fn stored slots[v], so the failure totals are
-		// ready to read.
-		hooks.Done = func(v int) {
+		// Done fires after fn stored the variation's outcomes, so the
+		// failure totals are ready to read.
+		hooks.Done = func(i int) {
 			fails := 0
-			for _, n := range slots[v].fails {
-				fails += n
+			for _, o := range outcomes[(lo+i)*nspecs : (lo+i+1)*nspecs] {
+				fails += o.fails
 			}
 			opts.Progress.RunDone(fails, simPerRun)
 		}
 	}
-	err := parallel.ForEachErrHooks(ctx, opts.Workers, variations, hooks, func(v int) error {
-		fs, err := c.FailureSchedule(v)
+	run := func(i int) error {
+		v, sl := lo+i, &slots[i]
+		fs, err := c.scheduleInto(&sl.sched, v)
 		if err != nil {
 			return err
-		}
-		vr := variationResult{
-			ratio:  make([]float64, nspecs),
-			wasted: make([]simclock.Duration, nspecs),
-			fails:  make([]int, nspecs),
-			local:  make([]int, nspecs),
-			peer:   make([]int, nspecs),
-			remote: make([]int, nspecs),
-		}
-		if opts.RecordRuns {
-			vr.records = make([]RunRecord, nspecs)
-		}
-		if collectRegs {
-			vr.regs = make([]*metrics.Registry, nspecs)
 		}
 		for si, spec := range c.Specs {
 			cfg := runsim.Config{
@@ -263,34 +312,48 @@ func RunCampaign(ctx context.Context, c *Compiled, opts CampaignOptions) (*Repor
 				cfg.Placement = c.Job.Placement
 			}
 			var reg *metrics.Registry
-			if collectRegs {
-				reg = metrics.NewRegistry()
+			if nregs > 0 {
+				reg = sl.regs[si]
+				reg.Reset()
 				cfg.Obs.Metrics = reg
 			}
 			res, err := runsim.Run(cfg)
 			if err != nil {
 				return fmt.Errorf("scenario: variation %d spec %s: %w", v, spec.Name, err)
 			}
-			vr.ratio[si] = res.EffectiveRatio
-			vr.wasted[si] = res.TotalWasted
-			vr.fails[si] = res.Failures
-			vr.local[si] = res.FromLocal
-			vr.peer[si] = res.FromPeer
-			vr.remote[si] = res.FromRemote
-			if opts.RecordRuns {
-				vr.records[si] = makeRecord(v, spec.Name, res)
+			outcomes[v*nspecs+si] = runOutcome{
+				ratio:  res.EffectiveRatio,
+				wasted: res.TotalWasted,
+				fails:  res.Failures,
+				local:  res.FromLocal,
+				peer:   res.FromPeer,
+				remote: res.FromRemote,
 			}
-			if collectRegs {
-				vr.regs[si] = reg
-				opts.Live.Merge(reg)
+			if runs != nil {
+				runs[v*nspecs+si] = makeRecord(v, spec.Name, res)
 			}
+			opts.Live.Merge(reg)
 			res.Release()
 		}
-		slots[v] = vr
 		return nil
-	})
-	if err != nil {
-		return nil, err
+	}
+	for lo = 0; lo < variations; lo += campaignWindow {
+		n := min(campaignWindow, variations-lo)
+		if err := parallel.ForEachErrHooks(ctx, opts.Workers, n, hooks, run); err != nil {
+			return nil, err
+		}
+		// Deterministic rollup: merge the window's run registries
+		// strictly in (variation, spec) order — the resulting
+		// registration order, and therefore every rendering, is
+		// independent of the worker count.
+		if agg != nil {
+			for i := range n {
+				for si, reg := range slots[i].regs[:nspecs] {
+					agg.Merge(reg)
+					specAggs[si].Merge(reg)
+				}
+			}
+		}
 	}
 
 	rep := &Report{
@@ -304,6 +367,9 @@ func RunCampaign(ctx context.Context, c *Compiled, opts CampaignOptions) (*Repor
 		Replicas:    c.Job.Spec.Replicas,
 		HorizonDays: s.Horizon.Seconds() / simclock.Day.Seconds(),
 		ChaosEvents: len(c.Chaos),
+		Runs:        runs,
+		agg:         agg,
+		specAggs:    specAggs,
 	}
 	switch s.Failures.Kind {
 	case "poisson":
@@ -316,13 +382,14 @@ func RunCampaign(ctx context.Context, c *Compiled, opts CampaignOptions) (*Repor
 	wastedH := make([]float64, variations)
 	for si, spec := range c.Specs {
 		sr := SpecReport{Name: spec.Name}
-		for v := range slots {
-			ratios[v] = slots[v].ratio[si]
-			wastedH[v] = slots[v].wasted[si].Seconds() / 3600
-			sr.Failures += slots[v].fails[si]
-			sr.FromLocal += slots[v].local[si]
-			sr.FromPeer += slots[v].peer[si]
-			sr.FromRemote += slots[v].remote[si]
+		for v := range variations {
+			o := &outcomes[v*nspecs+si]
+			ratios[v] = o.ratio
+			wastedH[v] = o.wasted.Seconds() / 3600
+			sr.Failures += o.fails
+			sr.FromLocal += o.local
+			sr.FromPeer += o.peer
+			sr.FromRemote += o.remote
 		}
 		sr.EffectiveRatio = toStats(metrics.Summarize(ratios))
 		sr.WastedHours = toStats(metrics.Summarize(wastedH))
@@ -331,31 +398,10 @@ func RunCampaign(ctx context.Context, c *Compiled, opts CampaignOptions) (*Repor
 		}
 		rep.Specs = append(rep.Specs, sr)
 	}
-	if opts.RecordRuns {
-		rep.Runs = make([]RunRecord, 0, variations*nspecs)
-		for v := range slots {
-			rep.Runs = append(rep.Runs, slots[v].records...)
-		}
-	}
-	if opts.Aggregate {
-		// Deterministic rollup: merge per-run registries strictly in
-		// (variation, spec) order, after the parallel barrier — the
-		// resulting registration order, and therefore every rendering,
-		// is independent of the worker count.
-		rep.agg = metrics.NewRegistry()
-		rep.specAggs = make([]*metrics.Registry, nspecs)
-		for si := range c.Specs {
-			rep.specAggs[si] = metrics.NewRegistry()
-		}
-		for v := range slots {
-			for si, reg := range slots[v].regs {
-				rep.agg.Merge(reg)
-				rep.specAggs[si].Merge(reg)
-			}
-		}
-		ar := &AggregateReport{Campaign: aggregateRows(rep.agg)}
+	if agg != nil {
+		ar := &AggregateReport{Campaign: aggregateRows(agg)}
 		for si, spec := range c.Specs {
-			ar.Specs = append(ar.Specs, SpecAggregate{Name: spec.Name, Rows: aggregateRows(rep.specAggs[si])})
+			ar.Specs = append(ar.Specs, SpecAggregate{Name: spec.Name, Rows: aggregateRows(specAggs[si])})
 		}
 		rep.Aggregates = ar
 	}

@@ -128,12 +128,26 @@ func (s *Scenario) Compile() (*Compiled, error) {
 // collapses a rank hit by both at the same instant to one failure with
 // HardwareFailed winning.
 func (c *Compiled) FailureSchedule(v int) (failure.Schedule, error) {
+	return c.scheduleInto(&scheduleBuf{}, v)
+}
+
+// scheduleBuf holds the reusable backings of one schedule build: the
+// background draw and its merge with the chaos failures.
+type scheduleBuf struct {
+	base, merged failure.Schedule
+}
+
+// scheduleInto is FailureSchedule building into buf's backings, which
+// it keeps growing for the next call. The returned schedule aliases buf,
+// so it is only valid until buf's next use.
+func (c *Compiled) scheduleInto(buf *scheduleBuf, v int) (failure.Schedule, error) {
 	s := c.Scenario
 	var base failure.Schedule
 	var err error
 	switch s.Failures.Kind {
 	case "poisson":
-		base, err = c.Model.Generate(s.Job.Machines, s.Horizon, s.Seed+int64(v))
+		base, err = c.Model.AppendGenerate(buf.base[:0], s.Job.Machines, s.Horizon, s.Seed+int64(v))
+		buf.base = base
 	case "fixed":
 		base, err = failure.FixedRate(s.Job.Machines, s.Failures.PerDay, s.Failures.HardwareFraction, s.Horizon)
 	}
@@ -143,7 +157,8 @@ func (c *Compiled) FailureSchedule(v int) (failure.Schedule, error) {
 	if len(c.ChaosFailures) == 0 {
 		return base, nil
 	}
-	return failure.Merge(base, c.ChaosFailures), nil
+	buf.merged = failure.AppendMerge(buf.merged[:0], base, c.ChaosFailures)
+	return buf.merged, nil
 }
 
 // heaviestTemplate picks the job-sizing instance from a fleet: the

@@ -12,7 +12,6 @@ package scenario
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"gemini/internal/metrics"
 	"gemini/internal/runsim"
@@ -63,16 +62,23 @@ var FlightKeys = []string{"wasted", "ratio", "wasted-vs-spec"}
 // Outliers ranks the report's recorded runs by key and returns the
 // worst k (all of them when k exceeds the record count). Ties break by
 // (variation, spec) so the ranking is fully deterministic. It errors on
-// an unknown key or a report without records.
+// an unknown key, a negative k, or a report without records.
+//
+// The ranking is one pass over the records into a k-slot buffer kept in
+// rank order; a record only displaces a slot it strictly outranks, so
+// among equal records the earlier one wins, as a stable sort would.
 func Outliers(rep *Report, key string, k int) ([]RunRecord, error) {
+	if k < 0 {
+		return nil, fmt.Errorf("scenario: negative outlier count %d", k)
+	}
 	if len(rep.Runs) == 0 {
 		return nil, fmt.Errorf("scenario: report has no run records (run the campaign with RecordRuns)")
 	}
-	badness := func(r RunRecord) float64 { return r.WastedSeconds }
+	badness := func(r *RunRecord) float64 { return r.WastedSeconds }
 	switch key {
 	case "wasted":
 	case "ratio":
-		badness = func(r RunRecord) float64 { return -r.EffectiveRatio }
+		badness = func(r *RunRecord) float64 { return -r.EffectiveRatio }
 	case "wasted-vs-spec":
 		type acc struct {
 			sum float64
@@ -85,28 +91,51 @@ func Outliers(rep *Report, key string, k int) ([]RunRecord, error) {
 			a.n++
 			means[r.Spec] = a
 		}
-		badness = func(r RunRecord) float64 {
+		badness = func(r *RunRecord) float64 {
 			a := means[r.Spec]
 			return r.WastedSeconds - a.sum/float64(a.n)
 		}
 	default:
 		return nil, fmt.Errorf("scenario: unknown flight key %q (have %v)", key, FlightKeys)
 	}
-	ranked := append([]RunRecord(nil), rep.Runs...)
-	sort.SliceStable(ranked, func(i, j int) bool {
-		bi, bj := badness(ranked[i]), badness(ranked[j])
-		if bi != bj {
-			return bi > bj
-		}
-		if ranked[i].Variation != ranked[j].Variation {
-			return ranked[i].Variation < ranked[j].Variation
-		}
-		return ranked[i].Spec < ranked[j].Spec
-	})
-	if k < len(ranked) {
-		ranked = ranked[:k]
+	k = min(k, len(rep.Runs))
+	if k == 0 {
+		return []RunRecord{}, nil
 	}
-	return ranked, nil
+	type ranked struct {
+		bad float64
+		rec *RunRecord
+	}
+	// worse reports whether a ranks strictly before b.
+	worse := func(a, b ranked) bool {
+		if a.bad != b.bad {
+			return a.bad > b.bad
+		}
+		if a.rec.Variation != b.rec.Variation {
+			return a.rec.Variation < b.rec.Variation
+		}
+		return a.rec.Spec < b.rec.Spec
+	}
+	top := make([]ranked, 0, k)
+	for i := range rep.Runs {
+		cand := ranked{bad: badness(&rep.Runs[i]), rec: &rep.Runs[i]}
+		if len(top) == k && !worse(cand, top[k-1]) {
+			continue
+		}
+		if len(top) < k {
+			top = append(top, cand)
+		}
+		j := len(top) - 1
+		for ; j > 0 && worse(cand, top[j-1]); j-- {
+			top[j] = top[j-1]
+		}
+		top[j] = cand
+	}
+	out := make([]RunRecord, len(top))
+	for i, r := range top {
+		out[i] = *r.rec
+	}
+	return out, nil
 }
 
 // FlightRun is one outlier re-executed with full observability.
