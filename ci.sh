@@ -28,8 +28,8 @@ go test -run='^TestTickerFireAllocsZero$' -count=1 ./internal/simclock
 go test -run='^TestHeartbeatTickAllocsZero$|^TestRootCheckAllocsZero$' -count=1 ./internal/agent
 
 # Control-plane concurrency gate (under the race detector, repeated):
-# concurrent Watch/Unwatch/Put/KeepAlive, as the TCP-served store sees
-# them, pin the copy-on-write watcher list and the single-lock flush.
+# Watch/Unwatch/Put/KeepAlive from several goroutines at once pin the
+# copy-on-write watcher list and the single-lock flush.
 go test -race -run='^TestConcurrentWatchersAndHeartbeats$' -count=5 ./internal/kvstore
 
 # Control-plane scaling gate: the same recovery run at 1024 machines

@@ -109,8 +109,8 @@ func TestClusterLifecycle(t *testing.T) {
 	if got := c.FailedRanks(); len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Fatalf("failed ranks %v, want [1 2]", got)
 	}
-	if got := c.HealthyRanks(); len(got) != 2 || got[0] != 0 || got[1] != 3 {
-		t.Fatalf("healthy ranks %v, want [0 3]", got)
+	if c.HealthyCount() != 2 || !c.Machine(0).Healthy() || !c.Machine(3).Healthy() {
+		t.Fatalf("healthy count %d, want ranks 0 and 3 healthy", c.HealthyCount())
 	}
 	if c.Machine(1).StateSince() != 100 {
 		t.Fatalf("state timestamp %v, want 100", c.Machine(1).StateSince())
@@ -164,46 +164,6 @@ func TestFailWithHealthyStatePanics(t *testing.T) {
 		}
 	}()
 	c.Fail(0, Healthy)
-}
-
-func TestCPUMemAccounting(t *testing.T) {
-	_, c := newTestCluster(t, 1)
-	m := c.Machine(0)
-	total := m.Type.CPUMemBytes
-	if err := m.ReserveCPUMem(total / 2); err != nil {
-		t.Fatalf("reserve half: %v", err)
-	}
-	if m.CPUMemUsed() != total/2 || m.CPUMemFree() != total-total/2 {
-		t.Fatalf("used=%d free=%d", m.CPUMemUsed(), m.CPUMemFree())
-	}
-	if err := m.ReserveCPUMem(total); err == nil {
-		t.Fatal("over-reservation accepted")
-	}
-	if err := m.ReserveCPUMem(-1); err == nil {
-		t.Fatal("negative reservation accepted")
-	}
-	m.ReleaseCPUMem(total / 2)
-	if m.CPUMemUsed() != 0 {
-		t.Fatalf("used %d after release, want 0", m.CPUMemUsed())
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("over-release did not panic")
-		}
-	}()
-	m.ReleaseCPUMem(1)
-}
-
-func TestReplacementClearsMemory(t *testing.T) {
-	_, c := newTestCluster(t, 1)
-	if err := c.Machine(0).ReserveCPUMem(1 << 30); err != nil {
-		t.Fatal(err)
-	}
-	c.Fail(0, HardwareFailed)
-	fresh := c.Replace(0)
-	if fresh.CPUMemUsed() != 0 {
-		t.Fatalf("replacement has %d bytes reserved, want 0", fresh.CPUMemUsed())
-	}
 }
 
 func TestClusterConstructorErrors(t *testing.T) {

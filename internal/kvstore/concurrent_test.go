@@ -6,9 +6,9 @@ import (
 	"testing"
 )
 
-// TestConcurrentWatchersAndHeartbeats drives the store the way the TCP
-// server does: several goroutines Put and KeepAlive under their own
-// leases while others register and cancel watches. Run under -race it
+// TestConcurrentWatchersAndHeartbeats drives the store from several
+// goroutines at once: some Put and KeepAlive under their own leases
+// while others register and cancel watches. Run under -race it
 // pins the copy-on-write watcher list (flush iterates a snapshot taken
 // under the lock while Watch and Unwatch replace it) and unlockFlush
 // (every event is delivered even though empty critical sections skip

@@ -4,9 +4,8 @@
 // with TTL expiry (heartbeats), prefix watches, and lease-based leader
 // election for promoting a new root machine.
 //
-// The store is safe for concurrent use, so the same implementation backs
-// both the in-process simulation (driven by a virtual clock) and the TCP
-// server in cmd/kvstored (driven by the wall clock).
+// The store is safe for concurrent use; the simulation drives it with a
+// virtual clock.
 package kvstore
 
 import (

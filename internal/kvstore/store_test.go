@@ -1,7 +1,6 @@
 package kvstore
 
 import (
-	"errors"
 	"testing"
 
 	"gemini/internal/simclock"
@@ -65,6 +64,15 @@ func TestCompareAndSwap(t *testing.T) {
 	}
 	if got, _ := s.Get("k"); got.Value != "v3" {
 		t.Fatalf("value %q, want v3", got.Value)
+	}
+	// A CAS under a lease attaches the key to it.
+	lease, _ := s.Grant(60)
+	_, won, err = s.CompareAndSwap("leader", 0, "node-1", lease)
+	if err != nil || !won {
+		t.Fatalf("leased CAS: won=%v err=%v", won, err)
+	}
+	if got, _ := s.Get("leader"); got.Lease != lease || got.Value != "node-1" {
+		t.Fatalf("leased CAS entry %+v, want value node-1 under lease %d", got, lease)
 	}
 }
 
@@ -148,6 +156,9 @@ func TestRevokeDropsKeysImmediately(t *testing.T) {
 	s.Revoke(id)
 	if len(s.Range("")) != 0 {
 		t.Fatal("revoked lease left keys behind")
+	}
+	if err := s.KeepAlive(id); err == nil {
+		t.Fatal("KeepAlive on revoked lease accepted")
 	}
 	s.Revoke(id) // idempotent
 }
@@ -334,24 +345,6 @@ func TestElectionFailoverOnLeaseExpiry(t *testing.T) {
 	}
 }
 
-func TestElectionResign(t *testing.T) {
-	s := New(nil)
-	el, _ := NewElection(s, "leader")
-	l1, _ := s.Grant(10)
-	if won, _ := el.Campaign("node-1", l1); !won {
-		t.Fatal("campaign lost")
-	}
-	if el.Resign("node-2") {
-		t.Fatal("non-leader resigned successfully")
-	}
-	if !el.Resign("node-1") {
-		t.Fatal("leader failed to resign")
-	}
-	if _, ok := el.Leader(); ok {
-		t.Fatal("leader present after resignation")
-	}
-}
-
 func TestElectionValidation(t *testing.T) {
 	s := New(nil)
 	if _, err := NewElection(s, ""); err == nil {
@@ -363,9 +356,6 @@ func TestElectionValidation(t *testing.T) {
 	}
 	if _, err := el.Campaign("x", 0); err == nil {
 		t.Fatal("campaign without lease accepted")
-	}
-	if errors.Is(ErrServer, nil) {
-		t.Fatal("ErrServer is nil")
 	}
 }
 

@@ -22,18 +22,19 @@ func TestSteadyStateFabricEventsDoNotAllocate(t *testing.T) {
 		f.StartFlow(i, (i+1)%32, 1e15, "bg", nil)
 	}
 	e.Run(1)
-	// Each toggle dirties node 1, re-collects its component (the whole
-	// ring), re-waterfills 32 flows, fixes their heap ETAs, and rearms
-	// both persistent events — the full steady-state event path.
-	toggle := func(factor float64) {
-		f.SetNodeFactor(1, factor)
+	// Each toggle re-rates node 1, which dirties it, re-collects its
+	// component (the whole ring), re-waterfills 32 flows, fixes their
+	// heap ETAs, and rearms both persistent events — the full
+	// steady-state event path.
+	toggle := func(bytesPerSec float64) {
+		f.SetNodeCapacity(1, bytesPerSec, bytesPerSec)
 		e.Run(e.Now())
 	}
-	toggle(0.5)
-	toggle(1)
+	toggle(0.5e9)
+	toggle(1e9)
 	allocs := testing.AllocsPerRun(50, func() {
-		toggle(0.5)
-		toggle(1)
+		toggle(0.5e9)
+		toggle(1e9)
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state fabric events allocate %v times/op, want 0", allocs)

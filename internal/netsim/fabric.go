@@ -12,7 +12,7 @@
 // The rate engine is incremental and allocation-free in steady state:
 // flows live in persistent per-node lists, completions come off an
 // indexed min-heap of ETAs ordered by (ETA, flow sequence), and a flow
-// start/finish/failure marks only its endpoints dirty — one coalesced
+// start or finish marks only its endpoints dirty — one coalesced
 // recompute per simulated instant then re-waterfills just the connected
 // component those nodes belong to. See DESIGN.md for the full data
 // structures and the determinism guarantees.
@@ -59,12 +59,9 @@ const (
 	FlowStarting FlowState = iota
 	// FlowActive means the flow is transferring bytes.
 	FlowActive
-	// FlowDone means all bytes were delivered.
+	// FlowDone means all bytes were delivered. It is the only terminal
+	// state: a flow always runs to completion.
 	FlowDone
-	// FlowFailed means an endpoint went down before completion.
-	FlowFailed
-	// FlowCanceled means the flow was canceled by its owner.
-	FlowCanceled
 )
 
 func (s FlowState) String() string {
@@ -75,10 +72,6 @@ func (s FlowState) String() string {
 		return "active"
 	case FlowDone:
 		return "done"
-	case FlowFailed:
-		return "failed"
-	case FlowCanceled:
-		return "canceled"
 	default:
 		return fmt.Sprintf("FlowState(%d)", int(s))
 	}
@@ -105,7 +98,6 @@ type Flow struct {
 	started   simclock.Time
 	finished  simclock.Time
 	onDone    func(*Flow)
-	batch     *startBatch // the start batch ending its window; nil once it ended
 
 	seq        uint64        // global start order; the deterministic tie-break
 	lastUpdate simclock.Time // instant remaining was last settled to
@@ -143,36 +135,11 @@ func (f *Flow) Rate() float64 { return f.rate }
 // StartedAt returns when the flow was submitted.
 func (f *Flow) StartedAt() simclock.Time { return f.started }
 
-// FinishedAt returns when the flow reached a terminal state; it is zero
+// FinishedAt returns when the flow delivered its last byte; it is zero
 // for flows still in flight.
 func (f *Flow) FinishedAt() simclock.Time { return f.finished }
 
-// Cancel removes the flow from the fabric without delivering remaining
-// bytes. The completion callback fires with state FlowCanceled.
-func (f *Flow) Cancel() {
-	if f.state == FlowDone || f.state == FlowFailed || f.state == FlowCanceled {
-		return
-	}
-	fb := f.fabric
-	if b := f.batch; b != nil {
-		// A batch whose every flow was canceled must not fire: its event
-		// goes with the last one, as each flow's own event would have.
-		f.batch = nil
-		b.live--
-		if b.live == 0 {
-			b.ev.Cancel()
-			fb.releaseBatch(b)
-		}
-	}
-	if f.state == FlowActive {
-		fb.settleFlow(f, fb.engine.Now())
-	}
-	fb.finishFlow(f, FlowCanceled)
-	fb.armRecompute()
-}
-
 type node struct {
-	up         bool
 	egressCap  float64
 	ingressCap float64
 
@@ -203,22 +170,12 @@ type Fabric struct {
 	active []*Flow // all FlowActive flows
 	byETA  []*Flow // indexed min-heap on (eta, seq); active flows with rate > 0
 
-	// partition assigns each node a partition id; nil means fully
-	// connected. Flows may only cross between nodes with equal ids.
-	partition []int
-	// linkFactor caps a directed link at a fraction of its endpoints'
-	// NIC bandwidth; absent links are undegraded.
-	linkFactor map[[2]int]float64
-	// nodeFactor scales a node's effective NIC bandwidth (straggler
-	// injection); nil means every node runs at full speed.
-	nodeFactor []float64
-
 	flowSeq uint64
 	flows   slab[Flow]
 
-	// open is the last start batch armed, until it fires or empties; a
+	// open is the last start batch armed, until it fires; a
 	// StartFlow joins it only at the same instant with nothing scheduled
-	// since. freeBatches pools batches with no flow left to handle.
+	// since. freeBatches pools fired batches.
 	open        *startBatch
 	freeBatches []*startBatch
 
@@ -264,7 +221,7 @@ func NewFabric(engine *simclock.Engine, n int, cfg Config) (*Fabric, error) {
 		visitGen: 1,
 	}
 	for i := range f.nodes {
-		f.nodes[i] = node{up: true, egressCap: cfg.EgressBytesPerSec, ingressCap: cfg.IngressBytesPerSec}
+		f.nodes[i] = node{egressCap: cfg.EgressBytesPerSec, ingressCap: cfg.IngressBytesPerSec}
 	}
 	return f, nil
 }
@@ -281,12 +238,12 @@ func MustNewFabric(engine *simclock.Engine, n int, cfg Config) *Fabric {
 // Config returns the fabric configuration.
 func (fb *Fabric) Config() Config { return fb.cfg }
 
-// ActiveFlows returns the number of flows not yet in a terminal state.
+// ActiveFlows returns the number of flows transferring bytes.
 func (fb *Fabric) ActiveFlows() int { return len(fb.active) }
 
 // StartFlow submits a transfer of size bytes from src to dst. After the α
 // startup latency the flow competes for bandwidth under max-min fairness.
-// onDone fires exactly once when the flow reaches a terminal state.
+// onDone fires exactly once, when the last byte is delivered.
 // A zero-byte flow completes after just the startup latency.
 func (fb *Fabric) StartFlow(src, dst int, bytes float64, label string, onDone func(*Flow)) *Flow {
 	fb.checkNode(src)
@@ -306,23 +263,11 @@ func (fb *Fabric) StartFlow(src, dst int, bytes float64, label string, onDone fu
 	}
 	fb.flowSeq++
 	fb.stats.flowsStarted++
-	if !fb.nodes[src].up || !fb.nodes[dst].up || !fb.Reachable(src, dst) {
-		// Fail asynchronously so callers never observe a callback during
-		// StartFlow itself.
-		fb.engine.After(0, func() {
-			if fl.state == FlowStarting {
-				fb.finishFlow(fl, FlowFailed)
-			}
-		})
-		return fl
-	}
 	b := fb.open
 	if b == nil || b.startedAt != fb.engine.Now() || fb.engine.NextSeq() != b.seq+1 {
 		b = fb.armBatch()
 	}
 	b.flows = append(b.flows, fl)
-	b.live++
-	fl.batch = b
 	return fl
 }
 
@@ -337,9 +282,7 @@ type startBatch struct {
 	ev        simclock.EventID
 	seq       uint64        // the sequence number ev drew
 	startedAt simclock.Time // the instant its flows started
-	flows     []*Flow       // in start order; flows[:next] are handled
-	next      int
-	live      int // flows still waiting in their window
+	flows     []*Flow       // in start order
 }
 
 // armBatch opens a new start batch at the current instant, its event
@@ -365,77 +308,30 @@ func (fb *Fabric) armBatch() *startBatch {
 	return b
 }
 
-// releaseBatch returns a batch whose flows are all handled to the pool.
-func (fb *Fabric) releaseBatch(b *startBatch) {
-	if fb.open == b {
-		fb.open = nil
-	}
-	clear(b.flows)
-	b.flows = b.flows[:0]
-	b.next, b.live = 0, 0
-	fb.freeBatches = append(fb.freeBatches, b)
-}
-
-// fire ends the startup window of each flow still starting, in start
-// order. Canceled flows are skipped. A flow whose endpoint failed or was
-// partitioned away during the window never carried a byte and fails
-// here; its callback may schedule events that would have fired before
-// the next flow's own event, so the rest of the batch is re-queued under
-// its original key before the callback runs.
+// fire ends the startup window of every flow in the batch, in start
+// order, and returns the batch to the pool. Activating a flow runs no
+// callback, so nothing can be scheduled between two activations.
 func (b *startBatch) fire() {
 	fb := b.fabric
 	if fb.open == b {
 		fb.open = nil
 	}
 	now := fb.engine.Now()
-	for b.next < len(b.flows) {
-		fl := b.flows[b.next]
-		b.next++
-		if fl.state != FlowStarting {
-			continue
-		}
-		fl.batch = nil
-		b.live--
-		if !fb.nodes[fl.Src].up || !fb.nodes[fl.Dst].up || !fb.Reachable(fl.Src, fl.Dst) {
-			if b.live > 0 {
-				fb.engine.Requeue(b.ev)
-			} else {
-				fb.releaseBatch(b)
-			}
-			fb.finishFlow(fl, FlowFailed)
-			return
-		}
+	for _, fl := range b.flows {
 		fl.state = FlowActive
 		fl.lastUpdate = now
 		fb.attachFlow(fl)
-		fb.armRecompute()
 	}
-	fb.releaseBatch(b)
+	fb.armRecompute()
+	clear(b.flows)
+	b.flows = b.flows[:0]
+	fb.freeBatches = append(fb.freeBatches, b)
 }
 
 func (fb *Fabric) checkNode(i int) {
 	if i < 0 || i >= len(fb.nodes) {
 		panic(fmt.Sprintf("netsim: node %d out of range [0,%d)", i, len(fb.nodes)))
 	}
-}
-
-// SetNodeUp marks an endpoint healthy or failed. Taking a node down fails
-// every flow that touches it, in flow-start order.
-func (fb *Fabric) SetNodeUp(i int, up bool) {
-	fb.checkNode(i)
-	n := &fb.nodes[i]
-	if n.up == up {
-		return
-	}
-	n.up = up
-	if !up {
-		// Snapshot into a fresh slice: callbacks may fail further nodes.
-		doomed := make([]*Flow, 0, len(n.out)+len(n.in))
-		doomed = append(doomed, n.out...)
-		doomed = append(doomed, n.in...)
-		fb.failFlows(doomed)
-	}
-	fb.armRecompute()
 }
 
 // SetNodeCapacity overrides one endpoint's egress and ingress bandwidth.
@@ -451,154 +347,6 @@ func (fb *Fabric) SetNodeCapacity(i int, egressBytesPerSec, ingressBytesPerSec f
 	fb.nodes[i].ingressCap = ingressBytesPerSec
 	fb.markDirty(i)
 	fb.armRecompute()
-}
-
-// NodeUp reports whether endpoint i is healthy.
-func (fb *Fabric) NodeUp(i int) bool {
-	fb.checkNode(i)
-	return fb.nodes[i].up
-}
-
-// SetPartition splits the fabric: each listed group can only talk within
-// itself, and all unlisted nodes form one residual component. Active
-// flows crossing a partition boundary fail immediately, in flow-start
-// order; flows in their startup window fail when the window elapses. A
-// later call replaces the previous partition wholesale.
-func (fb *Fabric) SetPartition(groups ...[]int) {
-	part := make([]int, len(fb.nodes))
-	for gi, group := range groups {
-		for _, i := range group {
-			fb.checkNode(i)
-			if part[i] != 0 {
-				panic(fmt.Sprintf("netsim: node %d listed in two partition groups", i))
-			}
-			part[i] = gi + 1
-		}
-	}
-	fb.partition = part
-	var doomed []*Flow
-	for _, fl := range fb.active {
-		if !fb.Reachable(fl.Src, fl.Dst) {
-			doomed = append(doomed, fl)
-		}
-	}
-	fb.failFlows(doomed)
-	fb.armRecompute()
-}
-
-// failFlows settles and fails the given flows in flow-start order.
-// Callbacks run synchronously and may mutate the fabric further; flows a
-// callback already finished are skipped.
-func (fb *Fabric) failFlows(doomed []*Flow) {
-	slices.SortFunc(doomed, func(a, b *Flow) int {
-		switch {
-		case a.seq < b.seq:
-			return -1
-		case a.seq > b.seq:
-			return 1
-		default:
-			return 0
-		}
-	})
-	now := fb.engine.Now()
-	for _, fl := range doomed {
-		if fl.state != FlowActive {
-			continue
-		}
-		fb.settleFlow(fl, now)
-		fb.finishFlow(fl, FlowFailed)
-	}
-}
-
-// ClearPartition heals all partitions.
-func (fb *Fabric) ClearPartition() {
-	fb.partition = nil
-}
-
-// Reachable reports whether two endpoints can currently exchange bytes,
-// considering only partitions (not node health).
-func (fb *Fabric) Reachable(i, j int) bool {
-	fb.checkNode(i)
-	fb.checkNode(j)
-	if fb.partition == nil {
-		return true
-	}
-	return fb.partition[i] == fb.partition[j]
-}
-
-// SetLinkFactor degrades the directed link src→dst to the given fraction
-// of its endpoints' NIC bandwidth. factor must be in (0, 1]; 1 removes
-// the degradation.
-func (fb *Fabric) SetLinkFactor(src, dst int, factor float64) {
-	fb.checkNode(src)
-	fb.checkNode(dst)
-	if factor <= 0 || factor > 1 || math.IsNaN(factor) {
-		panic(fmt.Sprintf("netsim: link factor must be in (0,1], got %v", factor))
-	}
-	if factor == 1 {
-		delete(fb.linkFactor, [2]int{src, dst})
-	} else {
-		if fb.linkFactor == nil {
-			fb.linkFactor = make(map[[2]int]float64)
-		}
-		fb.linkFactor[[2]int{src, dst}] = factor
-	}
-	fb.markDirty(src)
-	fb.markDirty(dst)
-	fb.armRecompute()
-}
-
-// SetNodeFactor scales endpoint i's effective NIC bandwidth — straggler
-// injection. factor must be in [0, 1]; 1 restores full speed, and 0
-// parks the node's flows at rate zero until bandwidth returns.
-func (fb *Fabric) SetNodeFactor(i int, factor float64) {
-	fb.checkNode(i)
-	if factor < 0 || factor > 1 || math.IsNaN(factor) {
-		panic(fmt.Sprintf("netsim: node factor must be in [0,1], got %v", factor))
-	}
-	if fb.nodeFactor == nil {
-		if factor == 1 {
-			return
-		}
-		fb.nodeFactor = make([]float64, len(fb.nodes))
-		for j := range fb.nodeFactor {
-			fb.nodeFactor[j] = 1
-		}
-	}
-	fb.nodeFactor[i] = factor
-	fb.markDirty(i)
-	fb.armRecompute()
-}
-
-// NodeFactor returns endpoint i's current bandwidth scale.
-func (fb *Fabric) NodeFactor(i int) float64 {
-	fb.checkNode(i)
-	if fb.nodeFactor == nil {
-		return 1
-	}
-	return fb.nodeFactor[i]
-}
-
-// nodeScale is NodeFactor without the bounds re-check, for hot paths.
-func (fb *Fabric) nodeScale(i int) float64 {
-	if fb.nodeFactor == nil {
-		return 1
-	}
-	return fb.nodeFactor[i]
-}
-
-// flowCap returns the per-flow rate ceiling imposed by link degradation,
-// or +Inf when the flow's link is undegraded.
-func (fb *Fabric) flowCap(fl *Flow) float64 {
-	f, ok := fb.linkFactor[[2]int{fl.Src, fl.Dst}]
-	if !ok {
-		return math.Inf(1)
-	}
-	eff := math.Min(
-		fb.nodes[fl.Src].egressCap*fb.nodeScale(fl.Src),
-		fb.nodes[fl.Dst].ingressCap*fb.nodeScale(fl.Dst),
-	)
-	return f * eff
 }
 
 // BusyTime returns how long endpoint i has had at least one active flow
@@ -720,25 +468,16 @@ func (fb *Fabric) detachFlow(fl *Flow) {
 	fb.markDirty(fl.Dst)
 }
 
-func (fb *Fabric) finishFlow(fl *Flow, state FlowState) {
-	if fl.state == FlowActive {
-		fb.detachFlow(fl)
-	}
-	fl.state = state
+// finishFlow completes an active flow and runs its callback.
+func (fb *Fabric) finishFlow(fl *Flow) {
+	fb.detachFlow(fl)
+	fl.state = FlowDone
 	fl.rate = 0
 	fl.finished = fb.engine.Now()
 	fb.stats.flowsFinished++
 	if fb.nicTracks != nil {
-		// Constant arg strings: the traced path may allocate (appends),
-		// but never formats.
-		switch state {
-		case FlowDone:
-			fb.nicTracks[fl.Src].Span(trace.CatNetsim, fl.Label, fl.started, fl.finished)
-		case FlowFailed:
-			fb.nicTracks[fl.Src].SpanArgs(trace.CatNetsim, fl.Label, fl.started, fl.finished, "state=failed")
-		case FlowCanceled:
-			fb.nicTracks[fl.Src].SpanArgs(trace.CatNetsim, fl.Label, fl.started, fl.finished, "state=canceled")
-		}
+		// The traced path may allocate (appends), but never formats.
+		fb.nicTracks[fl.Src].Span(trace.CatNetsim, fl.Label, fl.started, fl.finished)
 	}
 	if fl.onDone != nil {
 		cb := fl.onDone
@@ -790,9 +529,7 @@ func (fb *Fabric) recompute() {
 			// may mutate the fabric, so collect again afterwards.
 			slices.SortFunc(fb.drained, flowETACmp)
 			for _, fl := range fb.drained {
-				if fl.state == FlowActive {
-					fb.finishFlow(fl, FlowDone)
-				}
+				fb.finishFlow(fl)
 			}
 			continue
 		}
@@ -871,14 +608,12 @@ func (fb *Fabric) waterfill() {
 	}
 	for _, ni := range fb.compNodes {
 		n := &fb.nodes[ni]
-		sc := fb.nodeScale(ni)
-		n.egRem = n.egressCap * sc
-		n.inRem = n.ingressCap * sc
+		n.egRem = n.egressCap
+		n.inRem = n.ingressCap
 		n.egN = int32(len(n.out))
 		n.inN = int32(len(n.in))
 	}
 	unfrozen := len(flows)
-	linked := len(fb.linkFactor) > 0
 	eps := 1e-6 * fb.cfg.EgressBytesPerSec
 	freeze := func(fl *Flow) {
 		fl.frozen = true
@@ -889,8 +624,7 @@ func (fb *Fabric) waterfill() {
 	for unfrozen > 0 {
 		fb.stats.waterfillRounds++
 		// Find the tightest constraint: min over node caps of
-		// remaining/unfrozen, and min over unfrozen flows of headroom to
-		// their link cap.
+		// remaining/unfrozen.
 		limit := math.Inf(1)
 		for _, ni := range fb.compNodes {
 			n := &fb.nodes[ni]
@@ -905,15 +639,6 @@ func (fb *Fabric) waterfill() {
 				}
 			}
 		}
-		if linked {
-			for _, fl := range flows {
-				if !fl.frozen {
-					if head := fb.flowCap(fl) - fl.rate; head < limit {
-						limit = head
-					}
-				}
-			}
-		}
 		if math.IsInf(limit, 1) {
 			break
 		}
@@ -921,7 +646,7 @@ func (fb *Fabric) waterfill() {
 			limit = 0
 		}
 		// Raise every unfrozen flow by limit, then freeze flows on any
-		// capacity that is now exhausted and flows that hit their link cap.
+		// capacity that is now exhausted.
 		for _, fl := range flows {
 			if !fl.frozen {
 				fl.rate += limit
@@ -952,14 +677,6 @@ func (fb *Fabric) waterfill() {
 				}
 			}
 		}
-		if linked {
-			for _, fl := range flows {
-				if !fl.frozen && fl.rate >= fb.flowCap(fl)-eps {
-					freeze(fl)
-					froze = true
-				}
-			}
-		}
 		if !froze {
 			break
 		}
@@ -978,7 +695,8 @@ func (fb *Fabric) updateETAs(now simclock.Time) bool {
 			continue
 		}
 		if fl.rate <= 0 {
-			// Parked (zero-bandwidth endpoint): no ETA, no event-loop spin.
+			// No bandwidth (a share that rounded to zero): no ETA, and no
+			// division by zero.
 			fb.heapRemove(fl)
 			continue
 		}
@@ -990,7 +708,7 @@ func (fb *Fabric) updateETAs(now simclock.Time) bool {
 	}
 	if forced != nil {
 		forced.remaining = 0
-		fb.finishFlow(forced, FlowDone)
+		fb.finishFlow(forced)
 		return true
 	}
 	return false
@@ -1024,7 +742,7 @@ func (fb *Fabric) onCompletion() {
 		fl := fb.byETA[0]
 		fb.settleFlow(fl, now)
 		fl.remaining = 0
-		fb.finishFlow(fl, FlowDone)
+		fb.finishFlow(fl)
 	}
 	if len(fb.dirty) > 0 {
 		fb.armRecompute()

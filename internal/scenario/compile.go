@@ -3,6 +3,7 @@ package scenario
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"gemini/internal/baselines"
@@ -34,6 +35,11 @@ type Compiled struct {
 	// Model is the Poisson background model; zero when Kind is fixed or
 	// background failures are off.
 	Model failure.Model
+
+	// static is every variation's failure schedule when the background
+	// is seed-free (kind fixed, or none): built once by Compile and
+	// shared read-only by all runs.
+	static failure.Schedule
 }
 
 // FleetAssignment maps each rank to its fleet attributes. Slices are
@@ -113,11 +119,20 @@ func (s *Scenario) Compile() (*Compiled, error) {
 		c.ChaosFailures = sched.Failures()
 	}
 
-	if s.Failures.Kind == "poisson" {
+	switch s.Failures.Kind {
+	case "poisson":
 		c.Model = failure.Model{
 			PerInstancePerDay: s.Failures.PerInstancePerDay,
 			HardwareFraction:  s.Failures.HardwareFraction,
 		}
+	case "fixed":
+		c.static, err = failure.FixedRate(s.Job.Machines, s.Failures.PerDay, s.Failures.HardwareFraction, s.Horizon)
+		if err != nil {
+			return nil, fmt.Errorf("scenario: %w", err)
+		}
+	}
+	if s.Failures.Kind != "poisson" && len(c.ChaosFailures) > 0 {
+		c.static = failure.Merge(c.static, c.ChaosFailures)
 	}
 	return c, nil
 }
@@ -126,8 +141,11 @@ func (s *Scenario) Compile() (*Compiled, error) {
 // background distribution (seeded with Seed+v for Poisson; FixedRate is
 // seed-free) merged with the chaos schedule's crash events. Merge
 // collapses a rank hit by both at the same instant to one failure with
-// HardwareFailed winning.
+// HardwareFailed winning. The caller owns the returned schedule.
 func (c *Compiled) FailureSchedule(v int) (failure.Schedule, error) {
+	if c.Scenario.Failures.Kind != "poisson" {
+		return slices.Clone(c.static), nil
+	}
 	return c.scheduleInto(&scheduleBuf{}, v)
 }
 
@@ -139,21 +157,18 @@ type scheduleBuf struct {
 
 // scheduleInto is FailureSchedule building into buf's backings, which
 // it keeps growing for the next call. The returned schedule aliases buf,
-// so it is only valid until buf's next use.
+// so it is only valid until buf's next use; a seed-free schedule is the
+// shared one, which the caller must not modify.
 func (c *Compiled) scheduleInto(buf *scheduleBuf, v int) (failure.Schedule, error) {
 	s := c.Scenario
-	var base failure.Schedule
-	var err error
-	switch s.Failures.Kind {
-	case "poisson":
-		base, err = c.Model.AppendGenerate(buf.base[:0], s.Job.Machines, s.Horizon, s.Seed+int64(v))
-		buf.base = base
-	case "fixed":
-		base, err = failure.FixedRate(s.Job.Machines, s.Failures.PerDay, s.Failures.HardwareFraction, s.Horizon)
+	if s.Failures.Kind != "poisson" {
+		return c.static, nil
 	}
+	base, err := c.Model.AppendGenerate(buf.base[:0], s.Job.Machines, s.Horizon, s.Seed+int64(v))
 	if err != nil {
 		return nil, fmt.Errorf("scenario: variation %d: %w", v, err)
 	}
+	buf.base = base
 	if len(c.ChaosFailures) == 0 {
 		return base, nil
 	}

@@ -283,27 +283,6 @@ func (e *Engine) Rearm(id EventID, at Time) {
 // scheduling points are adjacent in the firing order.
 func (e *Engine) NextSeq() uint64 { return e.seq }
 
-// Requeue puts an event that has just fired back in the queue under its
-// original (time, priority, seq) key, without drawing a new sequence
-// number. It lets one event stand for a run of adjacent same-key events:
-// after firing, it re-queues itself for the rest of the run, and any
-// event the firing scheduled orders against it by key exactly as it
-// would against the rest of the run's own events. Requeue panics if the
-// event is still pending or its time has passed.
-func (e *Engine) Requeue(id EventID) {
-	ev := id.ev
-	if ev == nil {
-		panic("simclock: Requeue of zero EventID")
-	}
-	if ev.index >= 0 {
-		panic("simclock: Requeue of a queued event")
-	}
-	if ev.at < e.now {
-		panic(fmt.Sprintf("simclock: requeueing event at %v before now %v", ev.at, e.now))
-	}
-	e.push(ev)
-}
-
 // Stop makes the current Run call return after the in-flight event
 // completes. Pending events remain queued.
 func (e *Engine) Stop() { e.stopped = true }

@@ -1,10 +1,8 @@
 package simclock
 
 import (
-	"fmt"
 	"math/rand"
 	"sort"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -448,52 +446,4 @@ func TestNextSeqTracksDraws(t *testing.T) {
 	if e.NextSeq() != s0+2 {
 		t.Fatalf("firing drew a sequence number: NextSeq = %d, want %d", e.NextSeq(), s0+2)
 	}
-}
-
-func TestRequeueKeepsOriginalKey(t *testing.T) {
-	e := NewEngine()
-	var order []string
-	runs := 0
-	var id EventID
-	id = e.At(1, func() {
-		runs++
-		order = append(order, fmt.Sprintf("run%d", runs))
-		if runs == 1 {
-			e.Requeue(id)
-			// Scheduled after the requeue but at a later key: priority 0
-			// draws a fresh seq and fires after, priority −1 before.
-			e.At(1, func() { order = append(order, "p0") })
-			e.AtPriority(1, -1, func() { order = append(order, "neg") })
-		}
-	})
-	e.At(1, func() { order = append(order, "later") })
-	e.RunAll()
-	want := "neg run2 later p0"
-	if got := strings.Join(order[1:], " "); order[0] != "run1" || got != want {
-		t.Fatalf("order %v, want [run1 %s]", order, want)
-	}
-}
-
-func TestRequeuePendingEventPanics(t *testing.T) {
-	e := NewEngine()
-	id := e.At(1, func() {})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("requeueing a pending event did not panic")
-		}
-	}()
-	e.Requeue(id)
-}
-
-func TestRequeueIntoPastPanics(t *testing.T) {
-	e := NewEngine()
-	id := e.At(1, func() {})
-	e.At(5, func() {})
-	e.RunAll()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("requeueing into the past did not panic")
-		}
-	}()
-	e.Requeue(id)
 }

@@ -163,23 +163,19 @@ func (r *RemoteStore) Keys() []string {
 }
 
 // Write uploads an object from machine node src. done fires when the
-// upload completes (ok) or the source fails mid-transfer (!ok). The
-// object becomes visible only on completion — a failure mid-upload leaves
-// the previous version intact, never a torn object.
-func (r *RemoteStore) Write(src int, obj Object, done func(ok bool)) {
-	r.fabric.StartFlow(src, r.node, obj.Bytes, "ckpt-upload:"+obj.Key, func(fl *netsim.Flow) {
-		ok := fl.State() == netsim.FlowDone
-		if ok {
-			r.objects[obj.Key] = obj
-		}
+// upload completes. The object becomes visible only then: until the last
+// byte lands, readers see the previous version, never a torn object.
+func (r *RemoteStore) Write(src int, obj Object, done func()) {
+	r.fabric.StartFlow(src, r.node, obj.Bytes, "ckpt-upload:"+obj.Key, func(*netsim.Flow) {
+		r.objects[obj.Key] = obj
 		if done != nil {
-			done(ok)
+			done()
 		}
 	})
 }
 
 // Read downloads the object under key to machine node dst. done receives
-// the object and ok=true on success; a missing key or failed transfer
+// the object and ok=true once the transfer completes; a missing key
 // reports ok=false.
 func (r *RemoteStore) Read(key string, dst int, done func(Object, bool)) {
 	obj, ok := r.objects[key]
@@ -187,12 +183,8 @@ func (r *RemoteStore) Read(key string, dst int, done func(Object, bool)) {
 		r.engine.After(0, func() { done(Object{}, false) })
 		return
 	}
-	r.fabric.StartFlow(r.node, dst, obj.Bytes, "ckpt-download:"+key, func(fl *netsim.Flow) {
-		if fl.State() == netsim.FlowDone {
-			done(obj, true)
-		} else {
-			done(Object{}, false)
-		}
+	r.fabric.StartFlow(r.node, dst, obj.Bytes, "ckpt-download:"+key, func(*netsim.Flow) {
+		done(obj, true)
 	})
 }
 

@@ -103,12 +103,7 @@ func TestRemoteStoreWriteReadTiming(t *testing.T) {
 	e, _, rs := remoteFixture(t)
 	const size = 25e9 // 25 GB at 20 Gbps = 10 s
 	var wrote simclock.Time
-	rs.Write(0, Object{Key: "ckpt/1", Bytes: size, Iteration: 1}, func(ok bool) {
-		if !ok {
-			t.Error("write failed")
-		}
-		wrote = e.Now()
-	})
+	rs.Write(0, Object{Key: "ckpt/1", Bytes: size, Iteration: 1}, func() { wrote = e.Now() })
 	e.RunAll()
 	if want := size / (20 * gbps); math.Abs(float64(wrote)-want) > 1e-6 {
 		t.Fatalf("write finished at %v, want %v", wrote, want)
@@ -136,7 +131,7 @@ func TestRemoteStoreAggregateBandwidthShared(t *testing.T) {
 	const size = 25e9
 	var done []simclock.Time
 	for src := 0; src < 2; src++ {
-		rs.Write(src, Object{Key: "k" + string(rune('0'+src)), Bytes: size}, func(bool) {
+		rs.Write(src, Object{Key: "k" + string(rune('0'+src)), Bytes: size}, func() {
 			done = append(done, e.Now())
 		})
 	}
@@ -164,21 +159,21 @@ func TestRemoteStoreReadMissingKey(t *testing.T) {
 	}
 }
 
-func TestRemoteStoreFailedUploadLeavesOldVersion(t *testing.T) {
-	e, fab, rs := remoteFixture(t)
+func TestRemoteStoreUploadVisibleOnlyOnCompletion(t *testing.T) {
+	e, _, rs := remoteFixture(t)
 	rs.Write(0, Object{Key: "ckpt", Bytes: 1e9, Iteration: 1}, nil)
 	e.RunAll()
-	// Second upload dies when the source machine fails mid-transfer.
-	var failed bool
-	rs.Write(0, Object{Key: "ckpt", Bytes: 50e9, Iteration: 2}, func(ok bool) { failed = !ok })
-	e.At(e.Now().Add(1), func() { fab.SetNodeUp(0, false) })
-	e.RunAll()
-	if !failed {
-		t.Fatal("interrupted upload reported success")
+	// The second upload takes 20 s; halfway through, readers still see
+	// the first version.
+	var done bool
+	rs.Write(0, Object{Key: "ckpt", Bytes: 50e9, Iteration: 2}, func() { done = true })
+	e.Run(e.Now().Add(10))
+	if obj, ok := rs.Lookup("ckpt"); done || !ok || obj.Iteration != 1 {
+		t.Fatalf("mid-upload store holds %+v (done=%v), want the intact iteration-1 object", obj, done)
 	}
-	obj, ok := rs.Lookup("ckpt")
-	if !ok || obj.Iteration != 1 {
-		t.Fatalf("store holds %+v, want intact iteration-1 object", obj)
+	e.RunAll()
+	if obj, ok := rs.Lookup("ckpt"); !done || !ok || obj.Iteration != 2 {
+		t.Fatalf("after upload store holds %+v (done=%v), want iteration 2", obj, done)
 	}
 }
 
